@@ -118,9 +118,7 @@ def _cmd_compile(args) -> int:
         )
     else:
         print("formula: " + fdsl.to_text(node))
-        print(_diag_text(compiled.observable))
-        print("arities: " + ",".join(str(m) for m in compiled.observable.arities))
-        print("classification: " + _class_text(compiled.observable))
+        _print_observable(compiled.observable, False)
     return 0
 
 

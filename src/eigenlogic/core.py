@@ -9,6 +9,7 @@ is an explicit export step (`materialize`), never the working representation.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -53,6 +54,31 @@ def _as_arities(arities: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
+def _json_field(data, key: str, convert):
+    """``convert(data[key])``, or a ValueError naming the missing or bad field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"JSON object has no {key!r} field")
+    try:
+        return convert(data[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"JSON field {key!r} is malformed: {exc}") from exc
+
+
+def _float_array(values) -> np.ndarray:
+    return np.asarray(values, dtype=float)
+
+
+def _json_complex(data) -> np.ndarray:
+    """The complex array stored in the "re" and "im" fields of a JSON object."""
+    re = _json_field(data, "re", _float_array)
+    im = _json_field(data, "im", _float_array)
+    if re.shape != im.shape:
+        raise ValueError(f"JSON fields 're' and 'im' differ in shape: {re.shape} and {im.shape}")
+    return re + 1j * im
+
+
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
@@ -74,7 +100,7 @@ class DiagObservable:
     def __post_init__(self):
         arities = _as_arities(self.arities)
         eig = _frozen_array(np.ravel(self.eigenvalues), float)
-        expected = int(np.prod(arities, dtype=object)) if arities else 1
+        expected = math.prod(arities)
         if eig.size != expected:
             raise ValueError(
                 f"eigenvalue vector has length {eig.size}, expected {expected} "
@@ -96,8 +122,7 @@ class DiagObservable:
     @classmethod
     def constant(cls, arities: Iterable[int], value: float) -> "DiagObservable":
         arities = _as_arities(arities)
-        dim = int(np.prod(arities, dtype=object)) if arities else 1
-        return cls(arities, np.full(dim, float(value)))
+        return cls(arities, np.full(math.prod(arities), float(value)))
 
     def isclose(self, other: "DiagObservable", tol: float = DEFAULT_TOL) -> bool:
         """Entrywise equality of eigenvalues within ``tol`` (same arities)."""
@@ -148,7 +173,10 @@ class DiagObservable:
 
     @classmethod
     def from_json(cls, data: dict) -> "DiagObservable":
-        return cls(tuple(data["arities"]), np.asarray(data["eigenvalues"], dtype=float))
+        return cls(
+            _json_field(data, "arities", _as_arities),
+            _json_field(data, "eigenvalues", _float_array),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,9 +212,8 @@ class DenseMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "DenseMatrix":
-        dim = int(data["dim"])
-        flat = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-        return cls(dim, flat.reshape(dim, dim))
+        dim = _json_field(data, "dim", int)
+        return cls(dim, _json_complex(data).reshape(dim, dim))
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,10 @@ Grammar (loosest binding first):
     atom := VARIABLE | ("MIN" | "MAX") "(" formula "," formula ")"
           | "(" formula ")"
 
-Variables are single uppercase letters.  Compilation is eigenvalue-wise:
-each subformula maps to its eigenvalue vector over all input tuples, with
-variables entering as dictator observables.  `eval_classical` recomputes
+Variables are single uppercase letters.  Formulas nest at most
+`MAX_DEPTH` levels deep; deeper text is a syntax error.  Compilation is
+eigenvalue-wise: each subformula maps to its eigenvalue vector over all
+input tuples, with variables entering as dictator observables.  `eval_classical` recomputes
 single outputs by plain scalar recursion and serves as the oracle for the
 compiler; the two share nothing but the alphabet type.
 """
@@ -115,10 +116,22 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# The deepest accepted nesting.  NOT, a parenthesis and each MIN/MAX
+# argument open a level while they are parsed, and every NOT, MIN/MAX and
+# binary-operator node is one level of the AST.  Parsing takes up to eight
+# stack frames per open level, and compile, to_text, variables_of and
+# eval_classical one per AST level, so accepted formulas stay well inside
+# Python's default recursion limit.  The text `to_text` prints for an AST
+# opens no more levels than the AST has, so it always parses again.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    # Each parse method returns the parsed node and the height of its AST.
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.open_levels = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -134,54 +147,72 @@ class _Parser:
             raise FormulaSyntaxError(tok.offset, expected)
         return self.advance()
 
-    def parse_level(self, level: int) -> FormulaNode:
+    @staticmethod
+    def check_depth(tok: _Token, depth: int) -> None:
+        if depth > MAX_DEPTH:
+            raise FormulaSyntaxError(tok.offset, f"at most {MAX_DEPTH} levels of nesting")
+
+    def nested(self, tok: _Token, parse, *args) -> tuple[FormulaNode, int]:
+        """Run ``parse`` inside one more open level, opened at ``tok``."""
+        self.open_levels += 1
+        self.check_depth(tok, self.open_levels)
+        result = parse(*args)
+        self.open_levels -= 1
+        return result
+
+    def node(self, tok: _Token, node: FormulaNode, *heights: int) -> tuple[FormulaNode, int]:
+        height = 1 + max(heights)
+        self.check_depth(tok, height)
+        return node, height
+
+    def parse_level(self, level: int) -> tuple[FormulaNode, int]:
         if level == len(_LEVELS):
             return self.parse_unary()
         ops = _LEVELS[level]
-        left = self.parse_level(level + 1)
-        if level == 0:
-            # Implications chain to the right.
-            tok = self.peek()
-            if tok.kind == "word" and tok.text in ops:
-                self.advance()
-                return BinOp(tok.text, left, self.parse_level(0))
-            return left
-        while True:
-            tok = self.peek()
-            if tok.kind == "word" and tok.text in ops:
-                self.advance()
-                left = BinOp(tok.text, left, self.parse_level(level + 1))
+        left, height = self.parse_level(level + 1)
+        chain = []
+        while (tok := self.peek()).kind == "word" and tok.text in ops:
+            self.advance()
+            right, right_height = self.parse_level(level + 1)
+            if level == 0:
+                chain.append((tok, left, height))
+                left, height = right, right_height
             else:
-                return left
+                left, height = self.node(tok, BinOp(tok.text, left, right), height, right_height)
+        # Implications chain to the right, so fold them from the end.
+        for tok, operand, operand_height in reversed(chain):
+            left, height = self.node(tok, BinOp(tok.text, operand, left), operand_height, height)
+        return left, height
 
-    def parse_unary(self) -> FormulaNode:
+    def parse_unary(self) -> tuple[FormulaNode, int]:
         tok = self.peek()
         if tok.kind == "word" and tok.text == "NOT":
             self.advance()
-            return Not(self.parse_unary())
+            child, height = self.nested(tok, self.parse_unary)
+            return self.node(tok, Not(child), height)
         return self.parse_atom()
 
-    def parse_atom(self) -> FormulaNode:
+    def parse_atom(self) -> tuple[FormulaNode, int]:
         tok = self.peek()
         if tok.kind == "(":
             self.advance()
-            node = self.parse_level(0)
+            result = self.nested(tok, self.parse_level, 0)
             self.expect(")", "')'")
-            return node
+            return result
         if tok.kind == "word":
             if tok.text in _FUNC_OPS:
                 self.advance()
                 self.expect("(", "'(' after " + tok.text)
-                left = self.parse_level(0)
+                left, left_height = self.nested(tok, self.parse_level, 0)
                 self.expect(",", "','")
-                right = self.parse_level(0)
+                right, right_height = self.nested(tok, self.parse_level, 0)
                 self.expect(")", "')'")
-                return BinOp(tok.text, left, right)
+                return self.node(tok, BinOp(tok.text, left, right), left_height, right_height)
             if tok.text in _KEYWORDS:
                 raise FormulaSyntaxError(tok.offset, "an operand")
             if len(tok.text) == 1:
                 self.advance()
-                return Var(tok.text)
+                return Var(tok.text), 0
             raise FormulaSyntaxError(
                 tok.offset, f"a connective or single-letter variable (found {tok.text!r})"
             )
@@ -191,7 +222,7 @@ class _Parser:
 def parse(text: str) -> FormulaNode:
     """Parse formula text into an AST; deterministic for every accepted string."""
     parser = _Parser(_tokenize(text))
-    node = parser.parse_level(0)
+    node, _ = parser.parse_level(0)
     tail = parser.peek()
     if tail.kind != "end":
         raise FormulaSyntaxError(tail.offset, "end of input")

@@ -14,7 +14,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DiagObservable, check_capacity, classify
+from .core import (
+    DiagObservable,
+    _as_arities,
+    _json_complex,
+    _json_field,
+    check_capacity,
+    classify,
+)
 from .errors import (
     ClassificationError,
     ConventionError,
@@ -42,14 +49,9 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arities = tuple(int(m) for m in self.arities)
-        for m in arities:
-            if m < 2:
-                raise ValueError(f"every per-argument arity must be >= 2, got {m}")
+        arities = _as_arities(self.arities)
         amps = np.array(np.ravel(self.amplitudes), dtype=complex)
-        expected = 1
-        for m in arities:
-            expected *= m
+        expected = math.prod(arities)
         if amps.size != expected:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, expected {expected} "
@@ -82,8 +84,7 @@ class StateVector:
 
     @classmethod
     def from_json(cls, data: dict) -> "StateVector":
-        amps = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-        return cls(tuple(data["arities"]), amps)
+        return cls(_json_field(data, "arities", _as_arities), _json_complex(data))
 
 
 @dataclass(frozen=True)
@@ -115,10 +116,8 @@ def qubit_from_probability(p: float, phase: float = 0.0) -> StateVector:
 
 def basis_state(arities: Iterable[int], index: int) -> StateVector:
     """Canonical basis state |index> over the given argument structure."""
-    arities = tuple(int(m) for m in arities)
-    dim = 1
-    for m in arities:
-        dim *= m
+    arities = _as_arities(arities)
+    dim = math.prod(arities)
     if not 0 <= index < dim:
         raise ValueError(f"index {index} out of range for dimension {dim}")
     amps = np.zeros(dim, dtype=complex)
@@ -132,10 +131,7 @@ def product_state(parts: Sequence[StateVector]) -> StateVector:
         raise ValueError("product_state needs at least one component")
     if len(parts) == 1:
         return parts[0]
-    dim = 1
-    for part in parts:
-        dim *= part.dim
-    check_capacity(dim)
+    check_capacity(math.prod(part.dim for part in parts))
     amps = parts[0].amplitudes
     arities = parts[0].arities
     for part in parts[1:]:

@@ -21,6 +21,7 @@ from numpy.polynomial import polynomial as npoly
 from .core import (
     DEFAULT_TOL,
     DiagObservable,
+    _json_field,
     add,
     affine,
     apply_pointwise,
@@ -84,6 +85,14 @@ class ValueAlphabet:
                 return i
         return -1
 
+    def indices_of(self, values, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Vectorized `index_of`: positions of ``values``, -1 where none matches."""
+        values = np.asarray(values, dtype=float)
+        positions = np.full(values.shape, -1, dtype=np.intp)
+        for i in reversed(range(self.size)):  # so that the first match wins
+            positions[np.abs(values - self.values[i]) <= tol] = i
+        return positions
+
     def label(self, position: int) -> str:
         if self.names is not None:
             return self.names[position]
@@ -113,22 +122,23 @@ class TruthTable:
         if arity < 0:
             raise ValueError("arity must be non-negative")
         expected = self.alphabet.size ** arity
-        outputs = tuple(float(v) for v in self.outputs)
-        if len(outputs) != expected:
+        outputs = np.asarray(self.outputs, dtype=float)
+        if outputs.ndim != 1:
+            raise ValueError("outputs must be a flat sequence of numbers")
+        if outputs.size != expected:
             raise ValueError(
                 f"need {expected} outputs for arity {arity} over "
-                f"{self.alphabet.size} values, got {len(outputs)}"
+                f"{self.alphabet.size} values, got {outputs.size}"
             )
-        snapped = []
-        for w, v in enumerate(outputs):
-            pos = self.alphabet.index_of(v)
-            if pos < 0:
-                raise NonMemberError(
-                    w, v, f"output {v!r} at index {w} is not an alphabet value"
-                )
-            snapped.append(self.alphabet.values[pos])
+        positions = self.alphabet.indices_of(outputs)
+        w = int(positions.argmin())  # the first miss, if there is one
+        if positions[w] < 0:
+            v = float(outputs[w])
+            raise NonMemberError(w, v, f"output {v!r} at index {w} is not an alphabet value")
+        # The object array holds the alphabet's own floats, not one new float per entry.
+        snapped = np.array(self.alphabet.values, dtype=object)[positions]
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "outputs", tuple(snapped))
+        object.__setattr__(self, "outputs", tuple(snapped.tolist()))
 
     def __eq__(self, other) -> bool:
         # Names are display labels; equality is over values, arity, outputs.
@@ -172,9 +182,10 @@ class TruthTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "TruthTable":
-        names = tuple(data["names"]) if "names" in data else None
-        alphabet = ValueAlphabet(tuple(data["alphabet"]), names)
-        return cls(alphabet, int(data["arity"]), tuple(data["outputs"]))
+        values = _json_field(data, "alphabet", lambda v: tuple(map(float, v)))
+        names = _json_field(data, "names", tuple) if "names" in data else None
+        arity = _json_field(data, "arity", int)
+        return cls(ValueAlphabet(values, names), arity, _json_field(data, "outputs", tuple))
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,16 +305,15 @@ def read_table(
             raise ArityMismatchError(
                 f"observable has per-argument arity {m}, alphabet has {alphabet.size} values"
             )
-    outputs = []
-    for w, eig in enumerate(f.eigenvalues):
-        pos = alphabet.index_of(eig, tol)
-        if pos < 0:
-            raise NonMemberError(
-                w, float(eig),
-                f"eigenvalue {eig!r} at index {w} matches no alphabet value within {tol}",
-            )
-        outputs.append(alphabet.values[pos])
-    return TruthTable(alphabet, len(f.arities), tuple(outputs))
+    positions = alphabet.indices_of(f.eigenvalues, tol)
+    w = int(positions.argmin())  # the first miss, if there is one
+    if positions[w] < 0:
+        eig = f.eigenvalues[w]
+        raise NonMemberError(
+            w, float(eig),
+            f"eigenvalue {eig!r} at index {w} matches no alphabet value within {tol}",
+        )
+    return TruthTable(alphabet, len(f.arities), np.take(alphabet.values, positions))
 
 
 def to_isometric(f: DiagObservable, tol: float = DEFAULT_TOL) -> DiagObservable:
@@ -329,6 +339,7 @@ def dictator(position: int, arity: int, alphabet: ValueAlphabet) -> DiagObservab
         raise ValueError("arity must be at least 1")
     if not 0 <= position < arity:
         raise ValueError(f"position {position} out of range for arity {arity}")
+    check_capacity(alphabet.size ** arity)
     identity = DiagObservable.identity((alphabet.size,))
     factors = [identity] * arity
     factors[position] = value_observable(alphabet)

@@ -8,6 +8,7 @@ so a report is reproducible bit for bit.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,12 @@ def suite_table1() -> list[CheckResult]:
     ]
 
 
+def _close(a: np.ndarray, b: np.ndarray) -> list[bool]:
+    return [abs(x - y) <= TOL_EXACT for x, y in zip(a, b)]
+
+
 def _entrywise(a: DiagObservable, b: DiagObservable) -> list[bool]:
-    return [abs(x - y) <= TOL_EXACT for x, y in zip(a.eigenvalues, b.eigenvalues)]
+    return _close(a.eigenvalues, b.eigenvalues)
 
 
 def suite_minmax() -> list[CheckResult]:
@@ -95,8 +100,7 @@ def suite_minmax() -> list[CheckResult]:
     # Min connective is the entrywise numerical maximum and Max the minimum.
     numeric_min = np.maximum(u3.eigenvalues, v3.eigenvalues)
     numeric_max = np.minimum(u3.eigenvalues, v3.eigenvalues)
-    numeric = [abs(x - y) <= TOL_EXACT for x, y in zip(numeric_min, map_min.eigenvalues)]
-    numeric += [abs(x - y) <= TOL_EXACT for x, y in zip(numeric_max, map_max.eigenvalues)]
+    numeric = _close(numeric_min, map_min.eigenvalues) + _close(numeric_max, map_max.eigenvalues)
 
     # With binary +1/-1 dictators the squares collapse to the identity and
     # the same polynomials must give the conjunction and disjunction.
@@ -107,11 +111,8 @@ def suite_minmax() -> list[CheckResult]:
     reduction = _entrywise(red_min, iso["AND"]) + _entrywise(red_max, iso["OR"])
 
     # Full sign inversion on inputs and output swaps the two connectives.
-    remap = [3 * (2 - i) + (2 - j) for i in range(3) for j in range(3)]
-    symmetry = [
-        abs(-map_min.eigenvalues[remap[w]] - map_max.eigenvalues[w]) <= TOL_EXACT
-        for w in range(9)
-    ]
+    # Negating both ternary inputs maps input index w to 8 - w.
+    symmetry = _close(-map_min.eigenvalues[::-1], map_max.eigenvalues)
 
     return [
         _count("minmax: closed-form polynomial vs maps", entries),
@@ -151,7 +152,7 @@ def suite_fuzzy(samples: int = 200, seed: int = VERIFY_SEED) -> list[CheckResult
 
 
 def _random_state(rng: np.random.Generator, arities: tuple[int, ...]) -> StateVector:
-    dim = int(np.prod(arities))
+    dim = math.prod(arities)
     while True:
         amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         if np.linalg.norm(amps) > 1e-3:

@@ -83,6 +83,17 @@ class TestTable:
         code, _, _ = run(capsys, "table", "--alphabet", "0,1")
         assert code == 2
 
+    def test_observable_without_eigenvalues_is_domain_error(self, capsys):
+        observable = '{"arities":[2,2]}'
+        code, _, err = run(capsys, "table", "--alphabet", "0,1", "--observable", observable)
+        assert code == 1
+        assert "'eigenvalues'" in err and "Traceback" not in err
+
+    def test_observable_that_is_not_an_object_is_domain_error(self, capsys):
+        code, _, err = run(capsys, "table", "--alphabet", "0,1", "--observable", "[1,2]")
+        assert code == 1
+        assert "JSON object" in err and "Traceback" not in err
+
 
 class TestCompile:
     def test_formula_to_observable(self, capsys):
@@ -104,6 +115,21 @@ class TestCompile:
         code, _, err = run(capsys, "compile", "--formula", "A AND")
         assert code == 1
         assert "offset 5" in err
+
+    def test_deep_not_nesting_is_syntax_error(self, capsys):
+        code, _, err = run(capsys, "compile", "--formula", "NOT " * 3000 + "A")
+        assert code == 1
+        assert "syntax error at offset 400" in err and "Traceback" not in err
+
+    def test_deep_parentheses_are_syntax_error(self, capsys):
+        code, _, err = run(capsys, "compile", "--formula", "(" * 3000 + "A" + ")" * 3000)
+        assert code == 1
+        assert "syntax error at offset 100" in err and "Traceback" not in err
+
+    def test_capacity_error_names_requested_dimension(self, capsys):
+        code, _, err = run(capsys, "compile", "--formula", "A", "--arity", "40")
+        assert code == 1
+        assert "dimension 1099511627776 exceeds the cap" in err
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "compile", "--formula", "NOT A", "--json")
@@ -131,6 +157,12 @@ class TestFuzzy:
         code, out, _ = run(capsys, "fuzzy", "--connective", "AND", "--state", state)
         assert code == 0
         assert out.strip() == "0.5"
+
+    def test_state_without_im_is_domain_error(self, capsys):
+        state = '{"arities":[2],"re":[1,0]}'
+        code, _, err = run(capsys, "fuzzy", "--connective", "AND", "--state", state)
+        assert code == 1
+        assert "'im'" in err and "Traceback" not in err
 
     def test_json_output(self, capsys):
         code, out, _ = run(

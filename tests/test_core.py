@@ -7,6 +7,8 @@ from eigenlogic import (
     CapacityError,
     DenseMatrix,
     DiagObservable,
+    StateVector,
+    TruthTable,
     add,
     affine,
     apply_pointwise,
@@ -193,6 +195,29 @@ class TestMaterialize:
         m = materialize(obs((2,), [1, -1]))
         again = DenseMatrix.from_json(m.to_json())
         assert again == m
+
+
+@pytest.mark.parametrize(
+    "cls, data, named",
+    [
+        (DiagObservable, {"arities": [2, 2]}, "'eigenvalues'"),
+        (DiagObservable, [1, 2], "got list"),
+        (DiagObservable, {"arities": 5, "eigenvalues": [1]}, "'arities'"),
+        (DiagObservable, {"arities": [None], "eigenvalues": [1]}, "'arities'"),
+        (DiagObservable, {"arities": [2], "eigenvalues": {"a": 1}}, "'eigenvalues'"),
+        (DenseMatrix, {"dim": None, "re": [1], "im": [0]}, "'dim'"),
+        (DenseMatrix, {"dim": 1, "re": [1]}, "'im'"),
+        (StateVector, {"arities": [2], "re": [1, 0]}, "'im'"),
+        (StateVector, "state", "got str"),
+        (StateVector, {"arities": [2], "re": [1, 0], "im": [0]}, "'re' and 'im'"),
+        (TruthTable, {"alphabet": [0, None], "arity": 1, "outputs": [0, 1]}, "'alphabet'"),
+        (TruthTable, {"alphabet": [0, 1], "outputs": [0, 1]}, "'arity'"),
+        (TruthTable, {"alphabet": [0, 1], "arity": 1, "outputs": 7}, "'outputs'"),
+    ],
+)
+def test_from_json_names_the_bad_field(cls, data, named):
+    with pytest.raises(ValueError, match=named):
+        cls.from_json(data)
 
 
 class TestClassify:

@@ -15,6 +15,7 @@ from eigenlogic import (
 )
 from eigenlogic.formula import (
     BINARY_OPS,
+    MAX_DEPTH,
     BinOp,
     CompiledFormula,
     Not,
@@ -99,6 +100,42 @@ class TestParse:
     def test_operator_as_operand(self):
         with pytest.raises(FormulaSyntaxError):
             parse("AND A B")
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("NOT " * (MAX_DEPTH + 1) + "A", 4 * MAX_DEPTH),
+            ("(" * (MAX_DEPTH + 1) + "A" + ")" * (MAX_DEPTH + 1), MAX_DEPTH),
+            ("MIN(A, " * (MAX_DEPTH + 1) + "A" + ")" * (MAX_DEPTH + 1), 7 * MAX_DEPTH),
+            (" IMPL ".join("A" * (MAX_DEPTH + 2)), 2),
+            (" AND ".join("A" * (MAX_DEPTH + 2)), 6 * MAX_DEPTH + 2),
+            ("NOT (" + " OR ".join("A" * (MAX_DEPTH + 1)) + ")", 0),
+        ],
+    )
+    def test_one_level_too_deep_is_rejected_at_its_token(self, text, offset):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(text)
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "NOT " * MAX_DEPTH + "A",
+            "(" * MAX_DEPTH + "A" + ")" * MAX_DEPTH,
+            "MIN(A, " * MAX_DEPTH + "A" + ")" * MAX_DEPTH,
+            " AND ".join("A" * (MAX_DEPTH + 1)),
+            " IMPL ".join("A" * (MAX_DEPTH + 1)),
+        ],
+    )
+    def test_deepest_accepted_formula_compiles_and_prints(self, text):
+        node = parse(text)
+        alphabet = ISOMETRIC if "MIN" in text else PROJECTIVE
+        assert compile(node, alphabet).arity == 1
+        assert parse(to_text(node)) == node
+        assert variables_of(node) == {"A"}
+        assert eval_classical(node, (alphabet.values[0],), alphabet) in alphabet.values
 
 
 VARIABLES = st.sampled_from(["A", "B", "C"]).map(Var)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from eigenlogic import (
     ArityMismatchError,
+    CapacityError,
     ClassificationError,
     ConventionError,
     DiagObservable,
@@ -421,3 +423,61 @@ def test_projector_route_matches_eigenvalue_route(table):
 
 def test_value_observable_copies_alphabet():
     assert value_observable(QUATERNARY) == obs((4,), [0, 1, 2, 3])
+
+
+# --- the vectorized alphabet snap ---------------------------------------------
+
+
+@st.composite
+def snap_inputs(draw):
+    alphabet = draw(ALPHABETS)
+    # Tolerances reach twice the smallest spacing, so two alphabet values
+    # can match one input and the first of them must win.
+    tol = draw(st.sampled_from([0.0, 1e-12, -1.0]) | st.floats(0.0, 2.0))
+    near = st.tuples(
+        st.sampled_from(alphabet.values), st.floats(-2 * abs(tol), 2 * abs(tol))
+    ).map(sum)
+    anything = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
+    values = draw(st.lists(st.sampled_from(alphabet.values) | near | anything, max_size=20))
+    return alphabet, values, tol
+
+
+@given(snap_inputs())
+@settings(max_examples=300, deadline=None)
+def test_indices_of_agrees_with_index_of(case):
+    alphabet, values, tol = case
+    expected = [alphabet.index_of(v, tol) for v in values]
+    assert alphabet.indices_of(values, tol).tolist() == expected
+
+
+def test_indices_of_first_match_wins():
+    assert TERNARY.indices_of([0.5, -0.5, 2.0], tol=0.6).tolist() == [0, 1, -1]
+
+
+def test_truth_table_reports_first_offender():
+    with pytest.raises(NonMemberError) as err:
+        TruthTable(TERNARY, 1, (1.0, 0.5, 7.0))
+    assert (err.value.index, err.value.value) == (1, 0.5)
+    assert str(err.value) == "output 0.5 at index 1 is not an alphabet value"
+
+
+def test_read_table_reports_first_offender():
+    with pytest.raises(NonMemberError) as err:
+        read_table(obs((3,), [1.0, 0.25, 9.0]), TERNARY, tol=0.1)
+    assert (err.value.index, err.value.value) == (1, 0.25)
+    eig = np.float64(0.25)
+    assert str(err.value) == f"eigenvalue {eig!r} at index 1 matches no alphabet value within 0.1"
+
+
+def test_snapped_outputs_are_the_alphabet_floats():
+    # A fresh float per entry would cost a 3^10 table about 1.35 MB more.
+    noisy = [TERNARY.values[i % 3] + 1e-13 for i in range(27)]
+    written = TruthTable(TERNARY, 3, tuple(noisy))
+    read = read_table(obs((3, 3, 3), noisy), TERNARY)
+    for table in (written, read):
+        assert all(any(v is a for a in TERNARY.values) for v in table.outputs)
+
+
+def test_dictator_names_the_requested_dimension():
+    with pytest.raises(CapacityError, match="dimension 1099511627776 exceeds"):
+        dictator(0, 40, PROJECTIVE)
