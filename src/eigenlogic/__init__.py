@@ -44,6 +44,7 @@ from .fuzzy import (
     StateVector,
     basis_state,
     born_mean,
+    born_means,
     bound_check,
     membership,
     product_state,

@@ -24,7 +24,7 @@ from .synthesis import (
     read_table,
     synthesize,
 )
-from .verify import SUITE_NAMES, VERIFY_SEED, run_suite
+from .verify import SUITE_NAMES, VERIFY_SEED, run_timed
 
 
 class _UsageError(Exception):
@@ -48,6 +48,13 @@ def _parse_alphabet(raw: str, names: str | None) -> ValueAlphabet:
     values = tuple(float(tok) for tok in raw.split(","))
     name_tuple = tuple(names.split(",")) if names else None
     return ValueAlphabet(values, name_tuple)
+
+
+def _load_json(raw: str):
+    try:
+        return json.loads(raw)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 def _print_observable(observable, as_json: bool) -> None:
@@ -91,7 +98,7 @@ def _cmd_table(args) -> int:
     if bool(args.observable) == bool(args.observable_file):
         raise _UsageError("give exactly one of --observable or --observable-file")
     raw = args.observable or Path(args.observable_file).read_text()
-    observable = DiagObservable.from_json(json.loads(raw))
+    observable = DiagObservable.from_json(_load_json(raw))
     alphabet = _parse_alphabet(args.alphabet, args.names)
     table = read_table(observable, alphabet, args.tol)
     if args.json:
@@ -111,7 +118,7 @@ def _cmd_compile(args) -> int:
             json.dumps(
                 {
                     "arity": compiled.arity,
-                    "alphabet": [float(v) for v in alphabet.values],
+                    "alphabet": list(alphabet.values),
                     "observable": compiled.observable.to_json(),
                 }
             )
@@ -136,7 +143,7 @@ def _build_state(args) -> StateVector:
             ]
         )
     raw = args.state or Path(args.state_file).read_text()
-    return StateVector.from_json(json.loads(raw))
+    return StateVector.from_json(_load_json(raw))
 
 
 def _cmd_fuzzy(args) -> int:
@@ -169,16 +176,25 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_verify(args) -> int:
     randomized = args.suite in ("fuzzy", "bound", "oracle", "all")
-    if randomized:
+    if randomized and not args.json:
         print(f"seed: {VERIFY_SEED}")
-    results = run_suite(args.suite)
-    width = max(len(r.name) for r in results)
-    for r in results:
-        status = "pass" if r.ok else "FAIL"
-        print(f"{r.name:<{width}}  {r.passed}/{r.total} {status}")
-    all_ok = all(r.ok for r in results)
-    total = sum(r.total for r in results)
-    print(f"verify {args.suite}: {'PASS' if all_ok else 'FAIL'} ({total} checks)")
+    reports = run_timed(args.suite)
+    all_ok = all(report.ok for report in reports)
+    if args.json:
+        suites = [
+            {"name": s.name, "passed": s.passed, "total": s.total, "seconds": s.seconds}
+            for s in reports
+        ]
+        seed = VERIFY_SEED if randomized else None
+        print(json.dumps({"seed": seed, "ok": all_ok, "suites": suites}))
+    else:
+        results = [r for report in reports for r in report.results]
+        width = max(len(r.name) for r in results)
+        for r in results:
+            status = "pass" if r.ok else "FAIL"
+            print(f"{r.name:<{width}}  {r.passed}/{r.total} {status}")
+        total = sum(r.total for r in results)
+        print(f"verify {args.suite}: {'PASS' if all_ok else 'FAIL'} ({total} checks)")
     return 0 if all_ok else 1
 
 
@@ -248,6 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
+    verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -46,8 +46,42 @@ def check_capacity(dim: int) -> None:
         raise CapacityError(f"dimension {dim} exceeds the cap of {cap}")
 
 
+def _power_exceeds(base: int, exponent: int, limit: int) -> bool:
+    """True iff ``base ** exponent > limit``, for base >= 2 and exponent >= 0.
+
+    A power that is plainly too large is never formed, so a huge requested
+    arity costs neither time nor memory.
+    """
+    # base ** exponent >= 2 ** exponent, which exceeds any limit of that bit length.
+    if exponent >= max(limit, 1).bit_length():
+        return True
+    return base ** exponent > limit
+
+
+def _power_text(base: int, exponent: int) -> str:
+    """``base ** exponent`` written out, or as ``base**exponent`` when too long."""
+    if exponent * base.bit_length() <= 4096:
+        return str(base ** exponent)
+    return f"{base}**{exponent}"
+
+
+def check_power_capacity(base: int, exponent: int) -> None:
+    """`check_capacity` for the dimension ``base ** exponent``."""
+    cap = dimension_cap()
+    if _power_exceeds(base, exponent, cap):
+        raise CapacityError(f"dimension {_power_text(base, exponent)} exceeds the cap of {cap}")
+
+
+def _whole_number(m) -> int:
+    # int() would raise OverflowError on infinities and truncate 2.5 to 2.
+    if isinstance(m, (float, np.floating)) and not (math.isfinite(m) and float(m).is_integer()):
+        raise ValueError(f"every per-argument arity must be a whole number, got {m}")
+    return int(m)
+
+
 def _as_arities(arities: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(m) for m in arities)
+    # Plain ints, the common case, skip the conversion call.
+    out = tuple(m if type(m) is int else _whole_number(m) for m in arities)
     for m in out:
         if m < 2:
             raise ValueError(f"every per-argument arity must be >= 2, got {m}")
@@ -62,7 +96,7 @@ def _json_field(data, key: str, convert):
         raise ValueError(f"JSON object has no {key!r} field")
     try:
         return convert(data[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"JSON field {key!r} is malformed: {exc}") from exc
 
 
@@ -168,7 +202,7 @@ class DiagObservable:
     def to_json(self) -> dict:
         return {
             "arities": list(self.arities),
-            "eigenvalues": [float(v) for v in self.eigenvalues],
+            "eigenvalues": self.eigenvalues.tolist(),
         }
 
     @classmethod
@@ -206,8 +240,8 @@ class DenseMatrix:
         flat = self.entries.reshape(-1)
         return {
             "dim": self.dim,
-            "re": [float(v) for v in flat.real],
-            "im": [float(v) for v in flat.imag],
+            "re": flat.real.tolist(),
+            "im": flat.imag.tolist(),
         }
 
     @classmethod

@@ -34,6 +34,9 @@ from .synthesis import binary_catalog
 _NORM_FLOOR = 1e-6
 _NORM_CEILING = 1e6
 
+# A projective mean is a probability: it must lie in [0, 1] up to this slack.
+BOUND_TOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
@@ -78,8 +81,8 @@ class StateVector:
     def to_json(self) -> dict:
         return {
             "arities": list(self.arities),
-            "re": [float(v) for v in self.amplitudes.real],
-            "im": [float(v) for v in self.amplitudes.imag],
+            "re": self.amplitudes.real.tolist(),
+            "im": self.amplitudes.imag.tolist(),
         }
 
     @classmethod
@@ -140,6 +143,13 @@ def product_state(parts: Sequence[StateVector]) -> StateVector:
     return StateVector(arities, amps)
 
 
+def _check_dims(state_dim: int, observable_dim: int) -> None:
+    if state_dim != observable_dim:
+        raise DimensionMismatchError(
+            f"state dimension {state_dim} does not match observable dimension {observable_dim}"
+        )
+
+
 def born_mean(state: StateVector, f: DiagObservable) -> float:
     """Mean value of the observable in the given state.
 
@@ -147,11 +157,39 @@ def born_mean(state: StateVector, f: DiagObservable) -> float:
     pure-state density operator times the observable.  For a basis state
     this returns the eigenvalue at its index exactly.
     """
-    if state.dim != f.dim:
-        raise DimensionMismatchError(
-            f"state dimension {state.dim} does not match observable dimension {f.dim}"
-        )
+    _check_dims(state.dim, f.dim)
     return float(np.sum(state.probabilities() * f.eigenvalues))
+
+
+def born_means(
+    states: Sequence[StateVector], observables: Sequence[DiagObservable]
+) -> np.ndarray:
+    """Matrix of means: entry [i, j] is ``born_mean(states[i], observables[j])``.
+
+    Computed as one product of the |amplitude|^2 rows and the eigenvalue
+    rows, so it agrees with `born_mean` up to summation order.  Every state
+    and every observable must share one dimension; the first mismatching
+    pair in row-major order raises `DimensionMismatchError`.
+    """
+    if not states or not observables:
+        return np.zeros((len(states), len(observables)))
+    # Row 0 against every column, then every row against column 0: with all
+    # dimensions equal to states[0].dim this covers every pair.
+    for f in observables:
+        _check_dims(states[0].dim, f.dim)
+    for state in states:
+        _check_dims(state.dim, observables[0].dim)
+    probabilities = np.abs(np.stack([state.amplitudes for state in states])) ** 2
+    eigenvalues = np.stack([f.eigenvalues for f in observables])
+    return probabilities @ eigenvalues.T
+
+
+def within_bounds(mu):
+    """True where a projective mean lies in [0, 1] within `BOUND_TOL`.
+
+    Works elementwise on arrays of means as well as on one float.
+    """
+    return (-BOUND_TOL <= mu) & (mu <= 1.0 + BOUND_TOL)
 
 
 def membership(state: StateVector, connective_name: str, convention: str = "projective") -> float:
@@ -177,9 +215,8 @@ def bound_check(state: StateVector, f: DiagObservable) -> bool:
     """True iff the mean of a projective observable lies in [0, 1].
 
     Holds for every normalized state, entangled ones included; the mean of
-    a projector is a probability.  Tolerance is 1e-12 at both ends.
+    a projector is a probability.  Tolerance is `BOUND_TOL` at both ends.
     """
     if not classify(f).is_projector:
         raise ClassificationError("bound_check requires a projective observable")
-    mu = born_mean(state, f)
-    return -1e-12 <= mu <= 1.0 + 1e-12
+    return bool(within_bounds(born_mean(state, f)))

@@ -22,10 +22,13 @@ from .core import (
     DEFAULT_TOL,
     DiagObservable,
     _json_field,
+    _power_exceeds,
+    _power_text,
     add,
     affine,
     apply_pointwise,
     check_capacity,
+    check_power_capacity,
     classify,
     kron,
     kron_all,
@@ -121,14 +124,14 @@ class TruthTable:
         arity = int(self.arity)
         if arity < 0:
             raise ValueError("arity must be non-negative")
-        expected = self.alphabet.size ** arity
+        size = self.alphabet.size
         outputs = np.asarray(self.outputs, dtype=float)
         if outputs.ndim != 1:
             raise ValueError("outputs must be a flat sequence of numbers")
-        if outputs.size != expected:
+        if _power_exceeds(size, arity, outputs.size) or size ** arity != outputs.size:
             raise ValueError(
-                f"need {expected} outputs for arity {arity} over "
-                f"{self.alphabet.size} values, got {outputs.size}"
+                f"need {_power_text(size, arity)} outputs for arity {arity} over "
+                f"{size} values, got {outputs.size}"
             )
         positions = self.alphabet.indices_of(outputs)
         w = int(positions.argmin())  # the first miss, if there is one
@@ -172,9 +175,9 @@ class TruthTable:
 
     def to_json(self) -> dict:
         data = {
-            "alphabet": [float(v) for v in self.alphabet.values],
+            "alphabet": list(self.alphabet.values),
             "arity": self.arity,
-            "outputs": [float(v) for v in self.outputs],
+            "outputs": list(self.outputs),
         }
         if self.alphabet.names is not None:
             data["names"] = list(self.alphabet.names)
@@ -262,7 +265,7 @@ def canonical_projectors(alphabet: ValueAlphabet, arity: int) -> list[DiagObserv
     """
     if arity < 0:
         raise ValueError("arity must be non-negative")
-    check_capacity(alphabet.size ** arity)
+    check_power_capacity(alphabet.size, arity)
     value_obs = value_observable(alphabet)
     singles = [apply_pointwise(phi, value_obs) for phi in lagrange_basis(alphabet.values)]
     projectors = []
@@ -339,7 +342,7 @@ def dictator(position: int, arity: int, alphabet: ValueAlphabet) -> DiagObservab
         raise ValueError("arity must be at least 1")
     if not 0 <= position < arity:
         raise ValueError(f"position {position} out of range for arity {arity}")
-    check_capacity(alphabet.size ** arity)
+    check_power_capacity(alphabet.size, arity)
     identity = DiagObservable.identity((alphabet.size,))
     factors = [identity] * arity
     factors[position] = value_observable(alphabet)

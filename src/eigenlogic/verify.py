@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import formula as fdsl
-from .core import DiagObservable, kron
-from .fuzzy import StateVector, born_mean, bound_check, product_state, qubit_from_probability
+from .core import DiagObservable, classify, kron
+from .errors import ClassificationError
+from .fuzzy import StateVector, born_means, product_state, qubit_from_probability, within_bounds
 from .synthesis import (
     CONNECTIVE_NAMES,
     ISOMETRIC,
@@ -54,8 +56,9 @@ class CheckResult:
 
 
 def _count(name: str, outcomes) -> CheckResult:
-    outcomes = list(outcomes)
-    return CheckResult(name, sum(1 for ok in outcomes if ok), len(outcomes))
+    if not isinstance(outcomes, np.ndarray):
+        outcomes = np.fromiter(outcomes, dtype=bool)
+    return CheckResult(name, int(np.count_nonzero(outcomes)), outcomes.size)
 
 
 def suite_table1() -> list[CheckResult]:
@@ -127,27 +130,30 @@ def suite_fuzzy(samples: int = 200, seed: int = VERIFY_SEED) -> list[CheckResult
     """Born means of product states against the product-probability identities."""
     rng = np.random.default_rng(seed)
     catalog = binary_catalog("projective")
-    outcomes: dict[str, list[bool]] = {k: [] for k in ("A", "B", "AND", "OR", "XOR", "NOT")}
-    for _ in range(samples):
-        p, q = rng.uniform(0.0, 1.0, size=2)
+    p = np.empty(samples)
+    q = np.empty(samples)
+    states = []
+    for k in range(samples):
+        p[k], q[k] = rng.uniform(0.0, 1.0, size=2)
         phase_p, phase_q = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        state = product_state(
-            [qubit_from_probability(p, phase_p), qubit_from_probability(q, phase_q)]
+        states.append(
+            product_state(
+                [qubit_from_probability(p[k], phase_p), qubit_from_probability(q[k], phase_q)]
+            )
         )
-        mu = {name: born_mean(state, obs) for name, obs in catalog.items()}
-        outcomes["A"].append(abs(mu["A"] - p) <= TOL_STAT)
-        outcomes["B"].append(abs(mu["B"] - q) <= TOL_STAT)
-        outcomes["AND"].append(abs(mu["AND"] - p * q) <= TOL_STAT)
-        outcomes["OR"].append(abs(mu["OR"] - (p + q - p * q)) <= TOL_STAT)
-        outcomes["XOR"].append(abs(mu["XOR"] - (p + q - 2 * p * q)) <= TOL_STAT)
-        outcomes["NOT"].append(abs(mu["NOTA"] - (1.0 - mu["A"])) <= TOL_STAT)
+    means = born_means(states, list(catalog.values()))
+    mu = {name: means[:, j] for j, name in enumerate(catalog)}
+
+    def near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.abs(a - b) <= TOL_STAT
+
     return [
-        _count("fuzzy: mean of first dictator equals p", outcomes["A"]),
-        _count("fuzzy: mean of second dictator equals q", outcomes["B"]),
-        _count("fuzzy: conjunction mean equals p*q", outcomes["AND"]),
-        _count("fuzzy: disjunction mean equals p+q-p*q", outcomes["OR"]),
-        _count("fuzzy: exclusive-or mean equals p+q-2*p*q", outcomes["XOR"]),
-        _count("fuzzy: complement mean equals 1-mean", outcomes["NOT"]),
+        _count("fuzzy: mean of first dictator equals p", near(mu["A"], p)),
+        _count("fuzzy: mean of second dictator equals q", near(mu["B"], q)),
+        _count("fuzzy: conjunction mean equals p*q", near(mu["AND"], p * q)),
+        _count("fuzzy: disjunction mean equals p+q-p*q", near(mu["OR"], p + q - p * q)),
+        _count("fuzzy: exclusive-or mean equals p+q-2*p*q", near(mu["XOR"], p + q - 2 * p * q)),
+        _count("fuzzy: complement mean equals 1-mean", near(mu["NOTA"], 1.0 - mu["A"])),
     ]
 
 
@@ -162,20 +168,22 @@ def _random_state(rng: np.random.Generator, arities: tuple[int, ...]) -> StateVe
 def suite_bound(samples: int = 1000, seed: int = VERIFY_SEED) -> list[CheckResult]:
     """Means of projective observables stay in [0, 1] for arbitrary states."""
     rng = np.random.default_rng(seed)
-    catalog = binary_catalog("projective")
+    catalog = list(binary_catalog("projective").values())
     identity2 = DiagObservable.identity((2,))
-    extended = {name: kron(obs, identity2) for name, obs in catalog.items()}
-    outcomes = []
+    extended = [kron(obs, identity2) for obs in catalog]
+    for obs in catalog + extended:
+        if not classify(obs).is_projector:
+            raise ClassificationError("suite_bound requires projective observables")
     half = samples // 2
-    for k in range(samples):
-        if k < half:
-            state = _random_state(rng, (2, 2))
-            observables = catalog
-        else:
-            state = _random_state(rng, (2, 2, 2))
-            observables = extended
-        outcomes.extend(bound_check(state, obs) for obs in observables.values())
-    return [_count("bound: projective means within [0, 1]", outcomes)]
+    two_qubit = [_random_state(rng, (2, 2)) for _ in range(half)]
+    three_qubit = [_random_state(rng, (2, 2, 2)) for _ in range(samples - half)]
+    within = np.concatenate(
+        [
+            within_bounds(born_means(two_qubit, catalog)).ravel(),
+            within_bounds(born_means(three_qubit, extended)).ravel(),
+        ]
+    )
+    return [_count("bound: projective means within [0, 1]", within)]
 
 
 # --- oracle suite ----------------------------------------------------------
@@ -267,13 +275,37 @@ _SUITE_FUNCS = {
 }
 
 
+@dataclass(frozen=True)
+class SuiteReport:
+    """The check results of one suite and the wall seconds it took."""
+
+    name: str
+    results: list[CheckResult]
+    seconds: float
+
+    @property
+    def passed(self) -> int:
+        return sum(r.passed for r in self.results)
+
+    @property
+    def total(self) -> int:
+        return sum(r.total for r in self.results)
+
+    @property
+    def ok(self) -> bool:
+        return all(r.ok for r in self.results)
+
+
+def run_timed(name: str) -> list[SuiteReport]:
+    """Run one named suite, or all of them in order, timing each suite."""
+    reports = []
+    for suite in SUITE_NAMES if name == "all" else (name,):
+        start = time.perf_counter()
+        results = _SUITE_FUNCS[suite]()
+        reports.append(SuiteReport(suite, results, time.perf_counter() - start))
+    return reports
+
+
 def run_suite(name: str) -> list[CheckResult]:
     """Run one named suite, or all of them in order."""
-    if name == "all":
-        results = []
-        for suite in SUITE_NAMES:
-            results.extend(_SUITE_FUNCS[suite]())
-        return results
-    if name not in _SUITE_FUNCS:
-        raise KeyError(name)
-    return _SUITE_FUNCS[name]()
+    return [r for report in run_timed(name) for r in report.results]

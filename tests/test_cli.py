@@ -1,4 +1,10 @@
+import contextlib
+import io
 import json
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eigenlogic import DiagObservable, StateVector, TruthTable
 from eigenlogic.cli import main
@@ -257,3 +263,200 @@ class TestTopLevel:
         code, _, err = run(capsys, "synth", "--alphabet", "0,1", "--outputs", "0,0,0,1")
         assert code == 1
         assert "cap" in err
+
+
+class TestArityValidation:
+    def test_infinite_arity_is_domain_error(self, capsys):
+        observable = '{"arities":[Infinity],"eigenvalues":[0,1]}'
+        code, _, err = run(capsys, "table", "--alphabet", "0,1", "--observable", observable)
+        assert code == 1
+        assert "whole number, got inf" in err
+
+    def test_fractional_arity_is_domain_error(self, capsys):
+        observable = '{"arities":[2.5],"eigenvalues":[0,1]}'
+        code, _, err = run(capsys, "table", "--alphabet", "0,1", "--observable", observable)
+        assert code == 1
+        assert "whole number, got 2.5" in err
+
+    def test_integral_float_arity_is_accepted(self, capsys):
+        observable = '{"arities":[2.0],"eigenvalues":[0,1]}'
+        code, out, _ = run(capsys, "table", "--alphabet", "0,1", "--observable", observable)
+        assert code == 0
+        assert out == "alphabet: 0,1\narity: 1\n0 1\n"
+
+    def test_huge_table_file_arity_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("alphabet: 0,1\narity: 99999999999999999999\n0 1\n")
+        code, _, err = run(capsys, "synth", "--table-file", str(path))
+        assert code == 1
+        assert "need 2**99999999999999999999 outputs" in err
+
+    @pytest.mark.parametrize("arity", ["99999999999999999999", "1" + "0" * 400])
+    def test_huge_compile_arity_is_capacity_error(self, capsys, arity):
+        code, _, err = run(capsys, "compile", "--formula", "A", "--arity", arity)
+        assert code == 1
+        assert "exceeds the cap" in err
+
+
+class TestJsonInputLimits:
+    def test_deeply_nested_json_is_domain_error(self, capsys):
+        code, _, err = run(
+            capsys, "table", "--alphabet", "0,1", "--observable", "[" * 100000 + "]" * 100000
+        )
+        assert code == 1
+        assert "nested too deeply" in err
+
+    def test_integer_beyond_float_range_is_domain_error(self, capsys):
+        state = '{"arities": [2], "re": [1%s, 0], "im": [0, 0]}' % ("0" * 400)
+        code, _, err = run(capsys, "fuzzy", "--formula", "A", "--state", state)
+        assert code == 1
+        assert "'re' is malformed" in err
+
+
+class TestVerifyJson:
+    def test_all_suites_report(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert set(report) == {"seed", "ok", "suites"}
+        assert report["seed"] == 1729 and report["ok"] is True
+        assert [(s["name"], s["passed"], s["total"]) for s in report["suites"]] == [
+            ("table1", 32, 32),
+            ("minmax", 71, 71),
+            ("fuzzy", 1200, 1200),
+            ("bound", 16000, 16000),
+            ("oracle", 1029, 1029),
+        ]
+        assert all(set(s) == {"name", "passed", "total", "seconds"} for s in report["suites"])
+        assert all(s["seconds"] >= 0 for s in report["suites"])
+
+    def test_deterministic_suite_has_no_seed(self, capsys):
+        code, out, _ = run(capsys, "verify", "table1", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["seed"] is None
+        assert [s["name"] for s in report["suites"]] == ["table1"]
+
+
+# --- random argv guard -------------------------------------------------------
+
+_NUMBERS = st.one_of(
+    st.integers(-3, 70),
+    st.integers(min_value=10 ** 18, max_value=10 ** 400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.5, 2.0, 2.5, 1e-300, math.inf, -math.inf, math.nan]),
+)
+
+
+def _number_text(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=4)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=9),
+        st.dictionaries(
+            st.sampled_from(["arities", "eigenvalues", "re", "im", "dim", "x"]),
+            children,
+            max_size=4,
+        ),
+    ),
+    max_leaves=20,
+)
+
+
+@st.composite
+def _json_documents(draw):
+    """Observable- and state-shaped JSON with random fields, as text."""
+    arities = draw(st.lists(st.one_of(st.integers(-1, 4), _NUMBERS), max_size=4))
+    values = draw(st.lists(_NUMBERS, max_size=9))
+    doc = draw(
+        st.one_of(
+            st.just({"arities": arities, "eigenvalues": values}),
+            st.just({"arities": arities, "re": values, "im": values[::-1]}),
+            _JSON_VALUES,
+        )
+    )
+    return json.dumps(doc)
+
+
+_NUMBER_TEXT = _NUMBERS.map(_number_text)
+_NUMBER_LIST = st.one_of(
+    st.sampled_from(["0,1", "1,-1", "1,0,-1", "0,0,0,1"]),
+    st.lists(_NUMBER_TEXT, min_size=1, max_size=9).map(",".join),
+)
+_WORDS = st.one_of(
+    st.sampled_from(["A", "A AND B", "NOT A", "MIN(A, B)", "A IMPL B", "A AND", "(", "AND",
+                     "OR", "A,B", "A,A", "F,T", "F,N,T", "projective", "isometric", ""]),
+    st.text(max_size=8),
+)
+_PATHS = st.sampled_from(["no/such/file", ".", "-"])
+_ARITY = st.one_of(st.integers(-3, 70).map(str), _NUMBER_TEXT)
+_RARELY = st.sampled_from([True] + [False] * 5)
+_JSON = _json_documents()
+
+# Each subcommand's options as slots of alternative flags, with a strategy
+# for the flag's value (None for a switch); a drawn argv fills most slots.
+_OPTIONS = {
+    "synth": [
+        [("--outputs", _NUMBER_LIST), ("--table-file", _PATHS)],
+        [("--alphabet", _NUMBER_LIST)],
+        [("--names", _WORDS)],
+        [("--json", None)],
+    ],
+    "table": [
+        [("--observable", _JSON), ("--observable-file", _PATHS)],
+        [("--alphabet", _NUMBER_LIST)],
+        [("--names", _WORDS)],
+        [("--tol", _NUMBER_TEXT)],
+        [("--json", None)],
+    ],
+    "compile": [
+        [("--formula", _WORDS)],
+        [("--alphabet", _NUMBER_LIST)],
+        [("--names", _WORDS)],
+        [("--arity", _ARITY)],
+        [("--variables", _WORDS)],
+        [("--json", None)],
+    ],
+    "fuzzy": [
+        [("--formula", _WORDS), ("--connective", _WORDS)],
+        [("--state", _JSON), ("--state-file", _PATHS), ("--p", _NUMBER_TEXT)],
+        [("--q", _NUMBER_TEXT)],
+        [("--alphabet", _NUMBER_LIST)],
+        [("--arity", _ARITY)],
+        [("--phase-p", _NUMBER_TEXT)],
+        [("--phase-q", _NUMBER_TEXT)],
+        [("--json", None)],
+    ],
+    "catalog": [[("--convention", _WORDS)], [("--json", None)]],
+    "verify": [[("--json", None)]],
+}
+
+
+@st.composite
+def _argv(draw):
+    # The commands that parse JSON and numbers are drawn twice as often.
+    command = draw(st.sampled_from(sorted(_OPTIONS) + ["table", "fuzzy", "compile", "synth"]))
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(st.sampled_from(["table1", "minmax", "bogus"])))
+    for slot in _OPTIONS[command]:
+        if draw(_RARELY):
+            continue
+        flag, values = draw(st.sampled_from(slot))
+        # "--flag=value", so that values such as "-3" are not read as flags.
+        argv.append(flag if values is None else f"{flag}={draw(values)}")
+    if draw(_RARELY):
+        argv.append(draw(st.one_of(_WORDS, _NUMBER_TEXT)))
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_random_argv_never_escapes(monkeypatch, argv):
+    monkeypatch.setenv("EIGENLOGIC_DIM_CAP", "64")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)

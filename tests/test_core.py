@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,7 @@ from eigenlogic import (
     DiagObservable,
     StateVector,
     TruthTable,
+    ValueAlphabet,
     add,
     affine,
     apply_pointwise,
@@ -19,6 +22,7 @@ from eigenlogic import (
     kron_all,
     materialize,
 )
+from eigenlogic.core import _power_exceeds, check_power_capacity
 
 
 def obs(arities, values):
@@ -284,3 +288,76 @@ def test_kron_entry_formula(avals, bvals):
     for i in range(2):
         for j in range(3):
             assert k.eigenvalues[i * 3 + j] == a.eigenvalues[i] * b.eigenvalues[j]
+
+
+# --- JSON lists and arity validation -----------------------------------------
+
+AWKWARD = np.array([-0.0, 1e-300, 0.1 + 0.2, 1.0, -7.25])
+
+
+def _old_json_list(arr):
+    return json.dumps([float(v) for v in arr])
+
+
+def test_to_json_lists_are_byte_identical_to_float_loops():
+    observable = DiagObservable((5,), AWKWARD)
+    assert json.dumps(observable.to_json()["eigenvalues"]) == _old_json_list(AWKWARD)
+    state = StateVector((5,), AWKWARD + 1j * AWKWARD[::-1])
+    data = state.to_json()
+    assert json.dumps(data["re"]) == _old_json_list(state.amplitudes.real)
+    assert json.dumps(data["im"]) == _old_json_list(state.amplitudes.imag)
+    square = np.outer(AWKWARD, AWKWARD[::-1])[:4, :4] + 1j * np.eye(4) * -0.0
+    dense = DenseMatrix(4, square)
+    data = dense.to_json()
+    assert json.dumps(data["re"]) == _old_json_list(dense.entries.reshape(-1).real)
+    assert json.dumps(data["im"]) == _old_json_list(dense.entries.reshape(-1).imag)
+    assert "-0.0" in json.dumps(observable.to_json())
+
+
+def test_truth_table_json_is_byte_identical_to_float_loop():
+    alphabet = ValueAlphabet((-0.0, 0.1 + 0.2, 7.5))
+    table = TruthTable(alphabet, 1, (0.30000000000000004, -0.0, 7.5))
+    data = table.to_json()
+    assert json.dumps(data["outputs"]) == _old_json_list(table.outputs)
+    assert json.dumps(data["alphabet"]) == _old_json_list(alphabet.values)
+    assert json.dumps(data) == '{"alphabet": [-0.0, 0.30000000000000004, 7.5], "arity": 1, ' \
+        '"outputs": [0.30000000000000004, -0.0, 7.5]}'
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), 2.5, np.float64(3.5)])
+def test_arities_must_be_whole_numbers(bad):
+    with pytest.raises(ValueError, match=f"whole number, got {bad}"):
+        DiagObservable((bad,), [0.0, 1.0])
+
+
+def test_integral_float_arities_are_accepted():
+    assert DiagObservable((2.0, np.float64(3.0)), np.zeros(6)).arities == (2, 3)
+    assert StateVector((2.0,), [1, 0]).arities == (2,)
+
+
+def test_arity_json_error_names_the_field():
+    with pytest.raises(ValueError, match="'arities' is malformed: .*got inf"):
+        DiagObservable.from_json({"arities": [float("inf")], "eigenvalues": [0, 1]})
+
+
+def test_json_integer_too_large_for_a_float_is_a_value_error():
+    with pytest.raises(ValueError, match="'eigenvalues' is malformed"):
+        DiagObservable.from_json({"arities": [2], "eigenvalues": [10 ** 400, 1]})
+    with pytest.raises(ValueError, match="'re' is malformed"):
+        StateVector.from_json({"arities": [2], "re": [10 ** 400, 0], "im": [0, 0]})
+
+
+def test_power_capacity_never_forms_a_huge_power():
+    check_power_capacity(3, 10)
+    with pytest.raises(CapacityError, match=r"dimension 2\*\*100000000000000000000 exceeds"):
+        check_power_capacity(2, 10 ** 20)
+    with pytest.raises(CapacityError, match="dimension 1099511627776 exceeds"):
+        check_power_capacity(2, 40)
+
+
+def test_power_exceeds_agrees_with_the_power():
+    for base in range(2, 7):
+        for exponent in range(30):
+            for limit in (0, 1, 7, 8, 9, 64, 59048, 59049, 2 ** 20):
+                assert _power_exceeds(base, exponent, limit) == (base ** exponent > limit)
+    assert _power_exceeds(2, 10 ** 400, 64)

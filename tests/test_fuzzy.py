@@ -16,12 +16,14 @@ from eigenlogic import (
     basis_state,
     binary_catalog,
     born_mean,
+    born_means,
     bound_check,
     membership,
     product_state,
     qubit_from_probability,
     qubit_state,
 )
+from eigenlogic.fuzzy import within_bounds
 
 SEED = 1729
 
@@ -260,3 +262,72 @@ def test_mean_stays_within_spectrum(state):
     f = obs((2, 2), [-3.0, 0.5, 2.0, 7.0])
     mu = born_mean(state, f)
     assert f.eigenvalues.min() - 1e-9 <= mu <= f.eigenvalues.max() + 1e-9
+
+
+_ARITY_SHAPES = [(2,), (2, 2), (3,), (2, 3), (3, 3), (2, 2, 2)]
+
+
+@st.composite
+def state_and_observable_batches(draw):
+    arities = draw(st.sampled_from(_ARITY_SHAPES))
+    dim = math.prod(arities)
+    part = st.floats(-1, 1, allow_nan=False)
+    states = []
+    for _ in range(draw(st.integers(1, 5))):
+        re = np.asarray(draw(st.lists(part, min_size=dim, max_size=dim)))
+        im = np.asarray(draw(st.lists(part, min_size=dim, max_size=dim)))
+        amps = re + 1j * im
+        if np.linalg.norm(amps) < 1e-3:
+            amps = amps + 1.0
+        states.append(StateVector(arities, amps))
+    eig = st.floats(-10, 10, allow_nan=False)
+    observables = [
+        obs(arities, draw(st.lists(eig, min_size=dim, max_size=dim)))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    return states, observables
+
+
+@given(state_and_observable_batches())
+@settings(max_examples=80, deadline=None)
+def test_born_means_matches_scalar_means(batch):
+    states, observables = batch
+    means = born_means(states, observables)
+    assert means.shape == (len(states), len(observables))
+    for i, state in enumerate(states):
+        for j, f in enumerate(observables):
+            assert abs(means[i, j] - born_mean(state, f)) <= 1e-12
+
+
+class TestBornMeans:
+    def test_bell_state_row(self):
+        bell = StateVector((2, 2), [1, 0, 0, 1])
+        catalog = binary_catalog("projective")
+        means = born_means([bell], [catalog["AND"], catalog["XOR"], catalog["EQUIV"]])
+        assert means.shape == (1, 3)
+        assert means[0].tolist() == pytest.approx([0.5, 0.0, 1.0], abs=1e-12)
+
+    def test_observable_mismatch_uses_born_mean_message(self):
+        s4 = basis_state((2, 2), 0)
+        with pytest.raises(DimensionMismatchError) as batched:
+            born_means([s4, s4], [AND, obs((2, 2, 2), [0] * 8)])
+        with pytest.raises(DimensionMismatchError) as scalar:
+            born_mean(s4, obs((2, 2, 2), [0] * 8))
+        assert str(batched.value) == str(scalar.value)
+        assert str(batched.value) == "state dimension 4 does not match observable dimension 8"
+
+    def test_state_mismatch_is_first_in_row_major_order(self):
+        s4 = basis_state((2, 2), 0)
+        s8 = basis_state((2, 2, 2), 0)
+        with pytest.raises(DimensionMismatchError, match="state dimension 8 does not match observable dimension 4"):
+            born_means([s4, s8], [AND, AND])
+
+    def test_empty_batches(self):
+        assert born_means([], [AND]).shape == (0, 1)
+        assert born_means([basis_state((2, 2), 1)], []).shape == (1, 0)
+
+
+def test_within_bounds_is_the_bound_check_interval():
+    mu = np.array([-2e-12, -1e-12, 0.0, 0.5, 1.0 + 1e-12, 1.0 + 3e-12, np.nan])
+    assert within_bounds(mu).tolist() == [False, True, True, True, True, False, False]
+    assert within_bounds(0.25) is True

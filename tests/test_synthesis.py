@@ -481,3 +481,14 @@ def test_snapped_outputs_are_the_alphabet_floats():
 def test_dictator_names_the_requested_dimension():
     with pytest.raises(CapacityError, match="dimension 1099511627776 exceeds"):
         dictator(0, 40, PROJECTIVE)
+
+
+def test_huge_arity_is_rejected_without_forming_the_power():
+    with pytest.raises(ValueError, match=r"need 2\*\*100000000000000000000 outputs"):
+        TruthTable(PROJECTIVE, 10 ** 20, (0.0, 1.0))
+    with pytest.raises(ValueError, match="need 1099511627776 outputs for arity 40"):
+        TruthTable(PROJECTIVE, 40, (0.0, 1.0))
+    with pytest.raises(CapacityError, match=r"dimension 3\*\*100000000000000000000 exceeds"):
+        dictator(0, 10 ** 20, TERNARY)
+    with pytest.raises(CapacityError, match=r"dimension 2\*\*100000000000000000000 exceeds"):
+        canonical_projectors(PROJECTIVE, 10 ** 20)
