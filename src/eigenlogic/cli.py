@@ -8,12 +8,13 @@ The environment variable EIGENLOGIC_DIM_CAP overrides the dimension cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 from . import formula as fdsl
-from .core import DiagObservable, classify
+from .core import DiagObservable, _arity_for, classify
 from .errors import EigenlogicError
 from .fuzzy import StateVector, born_mean, membership, product_state, qubit_from_probability
 from .synthesis import (
@@ -66,19 +67,6 @@ def _print_observable(observable, as_json: bool) -> None:
         print("classification: " + _class_text(observable))
 
 
-def _infer_arity(n_outputs: int, m: int) -> int:
-    arity = 0
-    total = 1
-    while total < n_outputs:
-        total *= m
-        arity += 1
-    if total != n_outputs:
-        raise EigenlogicError(
-            f"{n_outputs} outputs is not a power of the alphabet size {m}"
-        )
-    return arity
-
-
 def _cmd_synth(args) -> int:
     if args.table_file and args.outputs:
         raise _UsageError("give either --outputs or --table-file, not both")
@@ -89,7 +77,7 @@ def _cmd_synth(args) -> int:
             raise _UsageError("--outputs requires --alphabet (or use --table-file)")
         alphabet = _parse_alphabet(args.alphabet, args.names)
         outputs = tuple(float(tok) for tok in args.outputs.split(","))
-        table = TruthTable(alphabet, _infer_arity(len(outputs), alphabet.size), outputs)
+        table = TruthTable(alphabet, _arity_for(len(outputs), alphabet.size), outputs)
     _print_observable(synthesize(table), args.json)
     return 0
 
@@ -205,25 +193,26 @@ def build_parser() -> argparse.ArgumentParser:
         "tables, and evaluate fuzzy membership degrees of states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true")
+    command = functools.partial(sub.add_parser, parents=[json_flag])
 
-    synth = sub.add_parser("synth", help="build an observable from a truth table")
+    synth = command("synth", help="build an observable from a truth table")
     synth.add_argument("--alphabet", help="comma-separated truth values, e.g. 0,1")
     synth.add_argument("--names", help="comma-separated value labels, e.g. F,T")
     synth.add_argument("--outputs", help="comma-separated outputs in canonical order")
     synth.add_argument("--table-file", help="truth-table text file")
-    synth.add_argument("--json", action="store_true")
     synth.set_defaults(func=_cmd_synth)
 
-    table = sub.add_parser("table", help="read the truth table of an observable")
+    table = command("table", help="read the truth table of an observable")
     table.add_argument("--observable", help="observable as inline JSON")
     table.add_argument("--observable-file", help="observable JSON file")
     table.add_argument("--alphabet", required=True)
     table.add_argument("--names")
     table.add_argument("--tol", type=float, default=1e-12)
-    table.add_argument("--json", action="store_true")
     table.set_defaults(func=_cmd_table)
 
-    comp = sub.add_parser(
+    comp = command(
         "compile",
         help="compile a formula to an observable",
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -240,10 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--names")
     comp.add_argument("--arity", type=int)
     comp.add_argument("--variables", help="explicit variable order, e.g. A,B,C")
-    comp.add_argument("--json", action="store_true")
     comp.set_defaults(func=_cmd_compile)
 
-    fuzzy = sub.add_parser("fuzzy", help="Born-rule mean of a connective or formula")
+    fuzzy = command("fuzzy", help="Born-rule mean of a connective or formula")
     fuzzy.add_argument("--formula")
     fuzzy.add_argument("--connective", help="name from the binary catalog")
     fuzzy.add_argument("--alphabet", default="0,1", help="alphabet for --formula")
@@ -254,17 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     fuzzy.add_argument("--phase-q", type=float, default=0.0)
     fuzzy.add_argument("--state", help="state as inline JSON")
     fuzzy.add_argument("--state-file", help="state JSON file")
-    fuzzy.add_argument("--json", action="store_true")
     fuzzy.set_defaults(func=_cmd_fuzzy)
 
-    catalog = sub.add_parser("catalog", help="print the sixteen binary connectives")
+    catalog = command("catalog", help="print the sixteen binary connectives")
     catalog.add_argument("--convention", choices=CONVENTIONS, required=True)
-    catalog.add_argument("--json", action="store_true")
     catalog.set_defaults(func=_cmd_catalog)
 
-    verify = sub.add_parser("verify", help="run a verification suite")
+    verify = command("verify", help="run a verification suite")
     verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=_cmd_verify)
 
     return parser

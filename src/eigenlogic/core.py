@@ -39,11 +39,11 @@ def dimension_cap() -> int:
     return cap
 
 
-def check_capacity(dim: int) -> None:
-    """Raise CapacityError if a dimension exceeds the active cap."""
+def check_capacity(size: int) -> None:
+    """Raise CapacityError if allocating ``size`` elements would exceed the active cap."""
     cap = dimension_cap()
-    if dim > cap:
-        raise CapacityError(f"dimension {dim} exceeds the cap of {cap}")
+    if size > cap:
+        raise CapacityError(f"{size} elements exceed the cap of {cap}")
 
 
 def _power_exceeds(base: int, exponent: int, limit: int) -> bool:
@@ -53,9 +53,7 @@ def _power_exceeds(base: int, exponent: int, limit: int) -> bool:
     arity costs neither time nor memory.
     """
     # base ** exponent >= 2 ** exponent, which exceeds any limit of that bit length.
-    if exponent >= max(limit, 1).bit_length():
-        return True
-    return base ** exponent > limit
+    return exponent >= max(limit, 1).bit_length() or base ** exponent > limit
 
 
 def _power_text(base: int, exponent: int) -> str:
@@ -65,17 +63,52 @@ def _power_text(base: int, exponent: int) -> str:
     return f"{base}**{exponent}"
 
 
-def check_power_capacity(base: int, exponent: int) -> None:
-    """`check_capacity` for the dimension ``base ** exponent``."""
+def check_power_capacity(base: int, exponent: int) -> int:
+    """`check_capacity` for the dimension ``base ** exponent``, which it returns."""
     cap = dimension_cap()
     if _power_exceeds(base, exponent, cap):
         raise CapacityError(f"dimension {_power_text(base, exponent)} exceeds the cap of {cap}")
+    return base ** exponent
+
+
+def _arity_for(length: int, size: int) -> int:
+    arity, total = 0, 1
+    while total < length:
+        arity, total = arity + 1, total * size
+    if total != length:
+        raise ValueError(f"{length} outputs is not a power of the alphabet size {size}")
+    return arity
+
+
+def _dimension(arities: tuple[int, ...], limit: int) -> int | None:
+    """The product of ``arities``, or None once it exceeds ``limit``."""
+    dim = 1
+    for m in arities:  # each m >= 2, so this stops within limit.bit_length() + 1 steps
+        dim *= m
+        if dim > limit:
+            return None
+    return dim
+
+
+def _capped_dimension(arities: tuple[int, ...]) -> int:
+    dim = _dimension(arities, dimension_cap())
+    if dim is None:
+        dim = _dimension(arities, 2 ** 64) or "over 2**64"
+        raise CapacityError(f"dimension {dim} exceeds the cap of {dimension_cap()}")
+    return dim
+
+
+def _check_length(what: str, length: int, arities: tuple[int, ...]) -> None:
+    if len(arities) > length.bit_length() or math.prod(arities) != length:  # each arity >= 2
+        dim = _dimension(arities, 2 ** 64) or "over 2**64"
+        raise ValueError(f"{what} has length {length}, expected {dim} for {len(arities)} arities")
 
 
 def _whole_number(m) -> int:
     # int() would raise OverflowError on infinities and truncate 2.5 to 2.
-    if isinstance(m, (float, np.floating)) and not (math.isfinite(m) and float(m).is_integer()):
-        raise ValueError(f"every per-argument arity must be a whole number, got {m}")
+    fractional = isinstance(m, (float, np.floating)) and not (math.isfinite(m) and m == int(m))
+    if fractional or int(m) < 0:
+        raise ValueError(f"an arity must be a non-negative whole number, got {m}")
     return int(m)
 
 
@@ -134,12 +167,7 @@ class DiagObservable:
     def __post_init__(self):
         arities = _as_arities(self.arities)
         eig = _frozen_array(np.ravel(self.eigenvalues), float)
-        expected = math.prod(arities)
-        if eig.size != expected:
-            raise ValueError(
-                f"eigenvalue vector has length {eig.size}, expected {expected} "
-                f"for arities {arities}"
-            )
+        _check_length("eigenvalue vector", eig.size, arities)
         if not np.all(np.isfinite(eig)):
             raise ValueError("eigenvalues must all be finite")
         object.__setattr__(self, "arities", arities)
@@ -156,7 +184,7 @@ class DiagObservable:
     @classmethod
     def constant(cls, arities: Iterable[int], value: float) -> "DiagObservable":
         arities = _as_arities(arities)
-        return cls(arities, np.full(math.prod(arities), float(value)))
+        return cls(arities, np.full(_capped_dimension(arities), float(value)))
 
     def isclose(self, other: "DiagObservable", tol: float = DEFAULT_TOL) -> bool:
         """Entrywise equality of eigenvalues within ``tol`` (same arities)."""
@@ -310,7 +338,7 @@ def apply_pointwise(poly, f: DiagObservable) -> DiagObservable:
 
 def materialize(f: DiagObservable) -> DenseMatrix:
     """Render the observable as an explicit diagonal matrix."""
-    check_capacity(f.dim)
+    check_capacity(f.dim * f.dim)
     return DenseMatrix(f.dim, np.diag(f.eigenvalues.astype(complex)))
 
 

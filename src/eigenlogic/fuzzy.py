@@ -8,6 +8,7 @@ weighted sum of eigenvalues, never via dense matrix products.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -17,9 +18,10 @@ import numpy as np
 from .core import (
     DiagObservable,
     _as_arities,
+    _capped_dimension,
+    _check_length,
     _json_complex,
     _json_field,
-    check_capacity,
     classify,
 )
 from .errors import (
@@ -54,12 +56,7 @@ class StateVector:
     def __post_init__(self):
         arities = _as_arities(self.arities)
         amps = np.array(np.ravel(self.amplitudes), dtype=complex)
-        expected = math.prod(arities)
-        if amps.size != expected:
-            raise ValueError(
-                f"amplitude vector has length {amps.size}, expected {expected} "
-                f"for arities {arities}"
-            )
+        _check_length("amplitude vector", amps.size, arities)
         norm = float(np.linalg.norm(amps))
         if not (_NORM_FLOOR <= norm <= _NORM_CEILING):
             raise NormalizationError(
@@ -120,7 +117,7 @@ def qubit_from_probability(p: float, phase: float = 0.0) -> StateVector:
 def basis_state(arities: Iterable[int], index: int) -> StateVector:
     """Canonical basis state |index> over the given argument structure."""
     arities = _as_arities(arities)
-    dim = math.prod(arities)
+    dim = _capped_dimension(arities)
     if not 0 <= index < dim:
         raise ValueError(f"index {index} out of range for dimension {dim}")
     amps = np.zeros(dim, dtype=complex)
@@ -134,13 +131,9 @@ def product_state(parts: Sequence[StateVector]) -> StateVector:
         raise ValueError("product_state needs at least one component")
     if len(parts) == 1:
         return parts[0]
-    check_capacity(math.prod(part.dim for part in parts))
-    amps = parts[0].amplitudes
-    arities = parts[0].arities
-    for part in parts[1:]:
-        amps = np.kron(amps, part.amplitudes)
-        arities = arities + part.arities
-    return StateVector(arities, amps)
+    arities = tuple(m for part in parts for m in part.arities)
+    _capped_dimension(arities)
+    return StateVector(arities, functools.reduce(np.kron, [part.amplitudes for part in parts]))
 
 
 def _check_dims(state_dim: int, observable_dim: int) -> None:

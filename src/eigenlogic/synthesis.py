@@ -21,9 +21,10 @@ from numpy.polynomial import polynomial as npoly
 from .core import (
     DEFAULT_TOL,
     DiagObservable,
+    _arity_for,
     _json_field,
-    _power_exceeds,
     _power_text,
+    _whole_number,
     add,
     affine,
     apply_pointwise,
@@ -111,7 +112,7 @@ TERNARY = ValueAlphabet((1.0, 0.0, -1.0), ("F", "N", "T"))
 class TruthTable:
     """Explicit map from input tuples to output truth values.
 
-    ``outputs`` has length size**arity in canonical mixed-radix input order
+    ``outputs`` has length size^arity in canonical mixed-radix input order
     (first argument most significant).  Outputs are snapped onto the exact
     alphabet values at construction.
     """
@@ -121,14 +122,12 @@ class TruthTable:
     outputs: tuple[float, ...]
 
     def __post_init__(self):
-        arity = int(self.arity)
-        if arity < 0:
-            raise ValueError("arity must be non-negative")
+        arity = _whole_number(self.arity)
         size = self.alphabet.size
         outputs = np.asarray(self.outputs, dtype=float)
         if outputs.ndim != 1:
             raise ValueError("outputs must be a flat sequence of numbers")
-        if _power_exceeds(size, arity, outputs.size) or size ** arity != outputs.size:
+        if _arity_for(outputs.size, size) != arity:
             raise ValueError(
                 f"need {_power_text(size, arity)} outputs for arity {arity} over "
                 f"{size} values, got {outputs.size}"
@@ -187,7 +186,7 @@ class TruthTable:
     def from_json(cls, data: dict) -> "TruthTable":
         values = _json_field(data, "alphabet", lambda v: tuple(map(float, v)))
         names = _json_field(data, "names", tuple) if "names" in data else None
-        arity = _json_field(data, "arity", int)
+        arity = _json_field(data, "arity", _whole_number)
         return cls(ValueAlphabet(values, names), arity, _json_field(data, "outputs", tuple))
 
 
@@ -257,15 +256,14 @@ def lambda_observable() -> DiagObservable:
 
 
 def canonical_projectors(alphabet: ValueAlphabet, arity: int) -> list[DiagObservable]:
-    """The size**arity rank-1 projectors onto the canonical basis states.
+    """The size^arity rank-1 projectors onto the canonical basis states.
 
     The w-th projector has eigenvalue 1 exactly at index w.  Each is the
     Kronecker product of single-argument basis projectors, which are the
     Lagrange basis polynomials applied to the value observable.
     """
-    if arity < 0:
-        raise ValueError("arity must be non-negative")
-    check_power_capacity(alphabet.size, arity)
+    arity = _whole_number(arity)
+    check_capacity(check_power_capacity(alphabet.size, arity) ** 2)
     value_obs = value_observable(alphabet)
     singles = [apply_pointwise(phi, value_obs) for phi in lagrange_basis(alphabet.values)]
     projectors = []
@@ -288,8 +286,7 @@ def synthesize_by_projectors(table: TruthTable) -> DiagObservable:
     construction for cross-checking.
     """
     projectors = canonical_projectors(table.alphabet, table.arity)
-    arities = (table.alphabet.size,) * table.arity
-    result = DiagObservable.constant(arities, 0.0)
+    result = DiagObservable.constant(projectors[0].arities, 0.0)
     for weight, projector in zip(table.outputs, projectors):
         result = add(result, affine(0.0, weight, projector))
     return result
@@ -311,10 +308,9 @@ def read_table(
     positions = alphabet.indices_of(f.eigenvalues, tol)
     w = int(positions.argmin())  # the first miss, if there is one
     if positions[w] < 0:
-        eig = f.eigenvalues[w]
+        eig = float(f.eigenvalues[w])
         raise NonMemberError(
-            w, float(eig),
-            f"eigenvalue {eig!r} at index {w} matches no alphabet value within {tol}",
+            w, eig, f"eigenvalue {eig!r} at index {w} matches no alphabet value within {tol}"
         )
     return TruthTable(alphabet, len(f.arities), np.take(alphabet.values, positions))
 
@@ -338,13 +334,11 @@ def dictator(position: int, arity: int, alphabet: ValueAlphabet) -> DiagObservab
 
     Built as identity factors with the value observable in one slot.
     """
-    if arity < 1:
-        raise ValueError("arity must be at least 1")
+    arity = _whole_number(arity)
     if not 0 <= position < arity:
         raise ValueError(f"position {position} out of range for arity {arity}")
     check_power_capacity(alphabet.size, arity)
-    identity = DiagObservable.identity((alphabet.size,))
-    factors = [identity] * arity
+    factors = [DiagObservable((alphabet.size,), np.ones(alphabet.size))] * arity
     factors[position] = value_observable(alphabet)
     return kron_all(factors)
 
@@ -520,7 +514,7 @@ def minmax_interpolation_route(name: str) -> DiagObservable:
 
 
 def enumerate_tables(alphabet: ValueAlphabet, arity: int) -> Iterator[TruthTable]:
-    """All size**(size**arity) truth tables, in lexicographic output order."""
-    entries = alphabet.size ** arity
+    """All size^(size^arity) truth tables, in lexicographic output order."""
+    entries = check_power_capacity(alphabet.size, _whole_number(arity))
     for outputs in itertools.product(alphabet.values, repeat=entries):
         yield TruthTable(alphabet, arity, outputs)

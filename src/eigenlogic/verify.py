@@ -8,14 +8,13 @@ so a report is reproducible bit for bit.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import formula as fdsl
-from .core import DiagObservable, classify, kron
+from .core import DiagObservable, _capped_dimension, classify, kron
 from .errors import ClassificationError
 from .fuzzy import StateVector, born_means, product_state, qubit_from_probability, within_bounds
 from .synthesis import (
@@ -158,7 +157,7 @@ def suite_fuzzy(samples: int = 200, seed: int = VERIFY_SEED) -> list[CheckResult
 
 
 def _random_state(rng: np.random.Generator, arities: tuple[int, ...]) -> StateVector:
-    dim = math.prod(arities)
+    dim = _capped_dimension(arities)
     while True:
         amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         if np.linalg.norm(amps) > 1e-3:

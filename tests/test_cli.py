@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -460,3 +462,31 @@ def test_random_argv_never_escapes(monkeypatch, argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2)
+
+
+def _readme_examples():
+    """(command, printed lines) for each README command-line example that shows output.
+
+    Output is shown as ``#   `` lines under the command or as a trailing
+    ``# value``; a ``| grep WORD`` suffix keeps the lines containing WORD.
+    """
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for line in section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines():
+        if line.startswith("eigenlogic "):
+            command, _, value = line.partition("  #")
+            examples.append((command.rstrip(), [value.strip()] if value.strip() else []))
+        elif line.startswith("#   ") and examples:
+            examples[-1][1].append(line[4:])
+    shown = [(command, lines) for command, lines in examples if lines]
+    assert shown, "no command-line example with output found in README.md"
+    return shown
+
+
+@pytest.mark.parametrize("command, expected", _readme_examples())
+def test_readme_examples_print_what_the_readme_shows(capsys, command, expected):
+    command, _, word = command.partition(" | grep ")
+    code, out, _ = run(capsys, *shlex.split(command)[1:])
+    assert code == 0
+    assert [line for line in out.splitlines() if word in line] == expected

@@ -465,8 +465,7 @@ def test_read_table_reports_first_offender():
     with pytest.raises(NonMemberError) as err:
         read_table(obs((3,), [1.0, 0.25, 9.0]), TERNARY, tol=0.1)
     assert (err.value.index, err.value.value) == (1, 0.25)
-    eig = np.float64(0.25)
-    assert str(err.value) == f"eigenvalue {eig!r} at index 1 matches no alphabet value within 0.1"
+    assert str(err.value) == "eigenvalue 0.25 at index 1 matches no alphabet value within 0.1"
 
 
 def test_snapped_outputs_are_the_alphabet_floats():
@@ -492,3 +491,31 @@ def test_huge_arity_is_rejected_without_forming_the_power():
         dictator(0, 10 ** 20, TERNARY)
     with pytest.raises(CapacityError, match=r"dimension 2\*\*100000000000000000000 exceeds"):
         canonical_projectors(PROJECTIVE, 10 ** 20)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: TruthTable(PROJECTIVE, 2.7, (0.0, 0.0, 0.0, 1.0)),
+        lambda: TruthTable(PROJECTIVE, -1, (0.0,)),
+        lambda: dictator(0, 1.5, PROJECTIVE),
+        lambda: canonical_projectors(PROJECTIVE, 2.5),
+        lambda: next(enumerate_tables(PROJECTIVE, 1.5)),
+        lambda: next(enumerate_tables(PROJECTIVE, -1)),
+    ],
+)
+def test_argument_counts_must_be_non_negative_whole_numbers(call):
+    with pytest.raises(ValueError, match="non-negative whole number, got"):
+        call()
+
+
+def test_table_json_arity_must_be_a_whole_number():
+    data = {"alphabet": [0, 1], "arity": 1.9, "outputs": [0, 1]}
+    with pytest.raises(ValueError, match="'arity' is malformed: .*whole number, got 1.9"):
+        TruthTable.from_json(data)
+    assert TruthTable.from_json({**data, "arity": 1.0}).arity == 1
+
+
+def test_output_count_that_is_no_power_of_the_alphabet_size():
+    with pytest.raises(ValueError, match="5 outputs is not a power of the alphabet size 2"):
+        TruthTable(PROJECTIVE, 2, (0.0,) * 5)
