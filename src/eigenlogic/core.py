@@ -104,11 +104,11 @@ def _check_length(what: str, length: int, arities: tuple[int, ...]) -> None:
         raise ValueError(f"{what} has length {length}, expected {dim} for {len(arities)} arities")
 
 
-def _whole_number(m) -> int:
+def _whole_number(m, what: str = "an arity") -> int:
     # int() would raise OverflowError on infinities and truncate 2.5 to 2.
     fractional = isinstance(m, (float, np.floating)) and not (math.isfinite(m) and m == int(m))
     if fractional or int(m) < 0:
-        raise ValueError(f"an arity must be a non-negative whole number, got {m}")
+        raise ValueError(f"{what} must be a non-negative whole number, got {m}")
     return int(m)
 
 
@@ -137,10 +137,19 @@ def _float_array(values) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
+def _finite_float_array(values) -> np.ndarray:
+    arr = _float_array(values)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"entry at index {bad[0]} is {arr.flat[bad[0]]}, not a finite number")
+    return arr
+
+
 def _json_complex(data) -> np.ndarray:
     """The complex array stored in the "re" and "im" fields of a JSON object."""
-    re = _json_field(data, "re", _float_array)
-    im = _json_field(data, "im", _float_array)
+    # Checked before re + 1j * im, where an infinity would turn into nan.
+    re = _json_field(data, "re", _finite_float_array)
+    im = _json_field(data, "im", _finite_float_array)
     if re.shape != im.shape:
         raise ValueError(f"JSON fields 're' and 'im' differ in shape: {re.shape} and {im.shape}")
     return re + 1j * im
@@ -249,7 +258,7 @@ class DenseMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        dim = int(self.dim)
+        dim = _whole_number(self.dim, "a dimension")
         if dim < 1:
             raise ValueError("dimension must be positive")
         entries = _frozen_array(np.asarray(self.entries, dtype=complex).reshape(dim, dim), complex)
@@ -274,7 +283,7 @@ class DenseMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "DenseMatrix":
-        dim = _json_field(data, "dim", int)
+        dim = _json_field(data, "dim", lambda v: _whole_number(v, "a dimension"))
         return cls(dim, _json_complex(data).reshape(dim, dim))
 
 

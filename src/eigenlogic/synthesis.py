@@ -12,7 +12,8 @@ an implementation detail.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -90,11 +91,19 @@ class ValueAlphabet:
         return -1
 
     def indices_of(self, values, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Vectorized `index_of`: positions of ``values``, -1 where none matches."""
+        """Vectorized `index_of`: positions of ``values``, -1 where none matches.
+
+        The positions have the smallest signed integer type that holds -size.
+        """
         values = np.asarray(values, dtype=float)
-        positions = np.full(values.shape, -1, dtype=np.intp)
-        for i in reversed(range(self.size)):  # so that the first match wins
-            positions[np.abs(values - self.values[i]) <= tol] = i
+        positions = np.full(values.shape, -1, dtype=np.min_scalar_type(-self.size))
+        distance = np.empty_like(values)
+        # A distance beyond the float range is inf and matches nothing.
+        with np.errstate(over="ignore"):
+            for i in reversed(range(self.size)):  # so that the first match wins
+                hit = np.abs(np.subtract(values, self.values[i], out=distance), out=distance) <= tol
+                # Becomes i where hit and stays put elsewhere; a masked store is far slower.
+                positions -= hit * (positions - i)
         return positions
 
     def label(self, position: int) -> str:
@@ -108,23 +117,21 @@ ISOMETRIC = ValueAlphabet((1.0, -1.0), ("F", "T"))
 TERNARY = ValueAlphabet((1.0, 0.0, -1.0), ("F", "N", "T"))
 
 
-@dataclass(frozen=True, eq=False)
 class TruthTable:
     """Explicit map from input tuples to output truth values.
 
     ``outputs`` has length size^arity in canonical mixed-radix input order
     (first argument most significant).  Outputs are snapped onto the exact
-    alphabet values at construction.
+    alphabet values at construction and stored as ``positions``, a read-only
+    array of alphabet positions; ``outputs`` is the tuple of the alphabet's
+    own floats at those positions, built on first use.  Instances are
+    immutable.
     """
 
-    alphabet: ValueAlphabet
-    arity: int
-    outputs: tuple[float, ...]
-
-    def __post_init__(self):
-        arity = _whole_number(self.arity)
-        size = self.alphabet.size
-        outputs = np.asarray(self.outputs, dtype=float)
+    def __init__(self, alphabet: ValueAlphabet, arity: int, outputs: Sequence[float]):
+        arity = _whole_number(arity)
+        size = alphabet.size
+        outputs = np.asarray(outputs, dtype=float)
         if outputs.ndim != 1:
             raise ValueError("outputs must be a flat sequence of numbers")
         if _arity_for(outputs.size, size) != arity:
@@ -132,24 +139,55 @@ class TruthTable:
                 f"need {_power_text(size, arity)} outputs for arity {arity} over "
                 f"{size} values, got {outputs.size}"
             )
-        positions = self.alphabet.indices_of(outputs)
+        positions = alphabet.indices_of(outputs)
         w = int(positions.argmin())  # the first miss, if there is one
         if positions[w] < 0:
             v = float(outputs[w])
             raise NonMemberError(w, v, f"output {v!r} at index {w} is not an alphabet value")
-        # The object array holds the alphabet's own floats, not one new float per entry.
-        snapped = np.array(self.alphabet.values, dtype=object)[positions]
+        self._set(alphabet, arity, positions)
+
+    @classmethod
+    def _from_positions(cls, alphabet: ValueAlphabet, arity: int, positions) -> "TruthTable":
+        """A table from valid alphabet positions and a checked arity, without a snap."""
+        table = cls.__new__(cls)
+        table._set(alphabet, arity, positions)
+        return table
+
+    def _set(self, alphabet: ValueAlphabet, arity: int, positions) -> None:
+        positions = np.array(positions, dtype=np.min_scalar_type(alphabet.size - 1))
+        positions.flags.writeable = False
+        object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "outputs", tuple(snapped.tolist()))
+        object.__setattr__(self, "positions", positions)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def outputs(self) -> tuple[float, ...]:
+        # The alphabet's own floats, not one new float per entry.
+        return tuple(np.array(self.alphabet.values, dtype=object)[self.positions].tolist())
 
     def __eq__(self, other) -> bool:
         # Names are display labels; equality is over values, arity, outputs.
+        # Alphabet values are distinct, so equal positions mean equal outputs.
         if not isinstance(other, TruthTable):
             return NotImplemented
         return (
             self.alphabet.values == other.alphabet.values
             and self.arity == other.arity
-            and self.outputs == other.outputs
+            and np.array_equal(self.positions, other.positions)
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(alphabet={self.alphabet!r}, "
+            f"arity={self.arity!r}, outputs={self.outputs!r})"
         )
 
     def inputs(self) -> Iterator[tuple[float, ...]]:
@@ -158,9 +196,9 @@ class TruthTable:
             yield tuple(self.alphabet.values[d] for d in digits)
 
     def to_text(self) -> str:
-        header = "alphabet: " + ",".join(format(v, ".12g") for v in self.alphabet.values)
-        rows = " ".join(format(v, ".12g") for v in self.outputs)
-        return f"{header}\narity: {self.arity}\n{rows}\n"
+        labels = [format(v, ".12g") for v in self.alphabet.values]
+        rows = " ".join([labels[p] for p in self.positions.tolist()])
+        return f"alphabet: {','.join(labels)}\narity: {self.arity}\n{rows}\n"
 
     @classmethod
     def from_text(cls, text: str) -> "TruthTable":
@@ -274,9 +312,9 @@ def canonical_projectors(alphabet: ValueAlphabet, arity: int) -> list[DiagObserv
 
 def synthesize(table: TruthTable) -> DiagObservable:
     """Observable whose eigenvalue vector is the table's output column."""
-    check_capacity(len(table.outputs))
+    check_capacity(table.positions.size)
     arities = (table.alphabet.size,) * table.arity
-    return DiagObservable(arities, np.asarray(table.outputs))
+    return DiagObservable(arities, np.take(table.alphabet.values, table.positions))
 
 
 def synthesize_by_projectors(table: TruthTable) -> DiagObservable:
@@ -312,7 +350,7 @@ def read_table(
         raise NonMemberError(
             w, eig, f"eigenvalue {eig!r} at index {w} matches no alphabet value within {tol}"
         )
-    return TruthTable(alphabet, len(f.arities), np.take(alphabet.values, positions))
+    return TruthTable._from_positions(alphabet, len(f.arities), positions)
 
 
 def to_isometric(f: DiagObservable, tol: float = DEFAULT_TOL) -> DiagObservable:
@@ -515,6 +553,7 @@ def minmax_interpolation_route(name: str) -> DiagObservable:
 
 def enumerate_tables(alphabet: ValueAlphabet, arity: int) -> Iterator[TruthTable]:
     """All size^(size^arity) truth tables, in lexicographic output order."""
-    entries = check_power_capacity(alphabet.size, _whole_number(arity))
-    for outputs in itertools.product(alphabet.values, repeat=entries):
-        yield TruthTable(alphabet, arity, outputs)
+    arity = _whole_number(arity)
+    entries = check_power_capacity(alphabet.size, arity)
+    for positions in itertools.product(range(alphabet.size), repeat=entries):
+        yield TruthTable._from_positions(alphabet, arity, positions)

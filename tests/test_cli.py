@@ -3,6 +3,7 @@ import io
 import json
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,17 @@ class TestTopLevel:
         code, _, err = run(capsys, "synth", "--alphabet", "0,1", "--outputs", "0,0,0,1")
         assert code == 1
         assert "cap" in err
+
+
+class TestNonFiniteJson:
+    def test_infinite_amplitude_is_a_domain_error_without_a_warning(self, capsys):
+        state = '{"arities":[2,2],"re":[0,0,0,1],"im":[Infinity,0,0,0]}'
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "fuzzy", "--connective", "AND", "--state", state)
+        assert code == 1
+        assert "'im' is malformed: entry at index 0 is inf, not a finite number" in err
+        assert caught == []
 
 
 class TestArityValidation:

@@ -347,6 +347,36 @@ def test_json_integer_too_large_for_a_float_is_a_value_error():
         StateVector.from_json({"arities": [2], "re": [10 ** 400, 0], "im": [0, 0]})
 
 
+@pytest.mark.parametrize(
+    "re, im, field, index, value",
+    [
+        ([0, 0, 0, 1], [float("inf"), 0, 0, 0], "im", 0, "inf"),
+        ([0, 0, float("nan"), 1], [0, 0, 0, 0], "re", 2, "nan"),
+        ([0, 0, 0, float("-inf")], [0, 0, 0, 0], "re", 3, "-inf"),
+    ],
+)
+def test_json_amplitudes_must_be_finite(re, im, field, index, value):
+    message = f"'{field}' is malformed: entry at index {index} is {value}, not a finite number"
+    with pytest.raises(ValueError, match=message):
+        StateVector.from_json({"arities": [2, 2], "re": re, "im": im})
+    with pytest.raises(ValueError, match=message):
+        DenseMatrix.from_json({"dim": 2, "re": re, "im": im})
+
+
+@pytest.mark.parametrize("dim", [2.9, -1, float("inf"), float("nan")])
+def test_dense_json_dimension_must_be_a_whole_number(dim):
+    data = {"dim": dim, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}
+    with pytest.raises(ValueError, match=f"'dim' is malformed: a dimension must be .*got {dim}"):
+        DenseMatrix.from_json(data)
+    with pytest.raises(ValueError, match=f"a dimension must be .*got {dim}"):
+        DenseMatrix(dim, np.eye(2))
+
+
+def test_dense_json_accepts_an_integral_float_dimension():
+    data = {"dim": 2.0, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}
+    assert DenseMatrix.from_json(data) == DenseMatrix(2, np.eye(2))
+
+
 def test_power_capacity_never_forms_a_huge_power():
     check_power_capacity(3, 10)
     with pytest.raises(CapacityError, match=r"dimension 2\*\*100000000000000000000 exceeds"):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -519,3 +520,123 @@ def test_table_json_arity_must_be_a_whole_number():
 def test_output_count_that_is_no_power_of_the_alphabet_size():
     with pytest.raises(ValueError, match="5 outputs is not a power of the alphabet size 2"):
         TruthTable(PROJECTIVE, 2, (0.0,) * 5)
+
+
+# --- the position-backed truth table ------------------------------------------
+
+
+ALPHABET_VALUES = st.lists(st.integers(-80, 80), min_size=2, max_size=6, unique=True)
+RANDOM_ALPHABETS = ALPHABET_VALUES.map(lambda xs: ValueAlphabet(tuple(x / 8 for x in xs)))
+
+
+@st.composite
+def noisy_columns(draw):
+    alphabet = draw(RANDOM_ALPHABETS | ALPHABETS)
+    arity = draw(st.integers(min_value=0, max_value=3))
+    count = alphabet.size ** arity
+    idx = draw(st.lists(st.integers(0, alphabet.size - 1), min_size=count, max_size=count))
+    noise = draw(st.lists(st.floats(-4e-13, 4e-13), min_size=count, max_size=count))
+    return alphabet, arity, [alphabet.values[i] + e for i, e in zip(idx, noise)]
+
+
+def _snapped(alphabet, noisy):
+    """The snapped output tuple, by the scalar rule of `index_of`."""
+    return tuple(alphabet.values[alphabet.index_of(v)] for v in noisy)
+
+
+@given(noisy_columns())
+@settings(max_examples=150, deadline=None)
+def test_outputs_are_the_snapped_alphabet_floats(case):
+    alphabet, arity, noisy = case
+    table = TruthTable(alphabet, arity, noisy)
+    assert table.outputs == _snapped(alphabet, noisy)
+    assert all(any(v is a for a in alphabet.values) for v in table.outputs)
+    assert table.positions.dtype == np.min_scalar_type(alphabet.size - 1)
+    assert read_table(synthesize(table), alphabet) == table
+
+
+@given(noisy_columns(), noisy_columns(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_table_equality_is_tuple_equality(first, second, same):
+    a = TruthTable(*first)
+    b = TruthTable(first[0], first[1], list(a.outputs)) if same else TruthTable(*second)
+    old = (a.alphabet.values, a.arity, a.outputs) == (b.alphabet.values, b.arity, b.outputs)
+    assert (a == b) is old
+    assert (a != b) is not old
+
+
+def test_table_repr_is_unchanged():
+    assert repr(TruthTable(PROJECTIVE, 2, (0, 0, 0, 1))) == (
+        "TruthTable(alphabet=ValueAlphabet(values=(0.0, 1.0), names=('F', 'T')), "
+        "arity=2, outputs=(0.0, 0.0, 0.0, 1.0))"
+    )
+
+
+def test_table_is_immutable_and_unhashable():
+    table = TruthTable(TERNARY, 1, (1.0, 0.0, -1.0))
+    table.outputs  # the cached tuple must not open a way to assign
+    for name in ("alphabet", "arity", "outputs", "positions", "other"):
+        with pytest.raises(AttributeError):
+            setattr(table, name, None)
+        with pytest.raises(AttributeError):
+            delattr(table, name)
+    with pytest.raises(ValueError):
+        table.positions[0] = 2
+    with pytest.raises(TypeError):
+        hash(table)
+    assert table.outputs == (1.0, 0.0, -1.0)
+
+
+def test_table_accepts_keyword_arguments():
+    table = TruthTable(alphabet=TERNARY, arity=1, outputs=[-1, 0, 1])
+    assert table == TruthTable(TERNARY, 1, (-1.0, 0.0, 1.0))
+
+
+def test_wide_table_text_and_json_match_an_independent_formatting():
+    digits = np.random.default_rng(1729).integers(0, 3, size=3 ** 10)
+    exact = [TERNARY.values[d] for d in digits.tolist()]
+    table = TruthTable(TERNARY, 10, [v + 1e-13 for v in exact])
+    rows = " ".join(format(v, ".12g") for v in exact)
+    assert table.to_text() == f"alphabet: 1,0,-1\narity: 10\n{rows}\n"
+    expected = {"alphabet": [1.0, 0.0, -1.0], "arity": 10, "outputs": exact, "names": ["F", "N", "T"]}
+    assert json.dumps(table.to_json()) == json.dumps(expected)
+    assert TruthTable.from_text(table.to_text()) == table
+
+
+def test_read_table_snaps_once(monkeypatch):
+    calls = []
+    snap = ValueAlphabet.indices_of
+
+    def counted(self, values, tol=1e-12):
+        calls.append(len(values))
+        return snap(self, values, tol)
+
+    monkeypatch.setattr(ValueAlphabet, "indices_of", counted)
+    observable = obs((3, 3), [TERNARY.values[i % 3] for i in range(9)])
+    table = read_table(observable, TERNARY)
+    assert calls == [9]
+    assert synthesize(table) == observable
+
+
+def test_enumerated_tables_match_the_constructor():
+    for table in enumerate_tables(TERNARY, 1):
+        assert TruthTable(TERNARY, 1, table.outputs) == table
+        assert not table.positions.flags.writeable
+
+
+def test_snap_distances_past_the_float_range_match_nothing():
+    # 1e308 - (-1e308) overflows to inf; it must neither warn nor match.
+    wide = ValueAlphabet((1e308, -1e308))
+    assert wide.indices_of([1e308, -1e308, 0.0, math.inf]).tolist() == [0, 1, -1, -1]
+
+
+@pytest.mark.parametrize("size", [127, 128, 129, 256, 257])
+def test_snap_and_positions_at_integer_type_boundaries(size):
+    # The last position and -1 must both fit the narrow types chosen by size.
+    alphabet = ValueAlphabet(tuple(float(k) for k in range(size)))
+    values = [size - 1.0, 0.0, 0.5, size - 1.0 + 1e-13, size + 0.0]
+    expected = [alphabet.index_of(v) for v in values]
+    assert alphabet.indices_of(values).tolist() == expected
+    table = TruthTable(alphabet, 1, [alphabet.values[-1 - k] for k in range(size)])
+    assert table.positions.tolist() == list(range(size - 1, -1, -1))
+    assert read_table(synthesize(table), alphabet) == table
