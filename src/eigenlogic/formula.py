@@ -13,19 +13,23 @@ Grammar (loosest binding first):
 Variables are single uppercase letters.  Formulas nest at most
 `MAX_DEPTH` levels deep; deeper text is a syntax error.  Compilation is
 eigenvalue-wise: each subformula maps to its eigenvalue vector over all
-input tuples, with variables entering as dictator observables.  `eval_classical` recomputes
-single outputs by plain scalar recursion and serves as the oracle for the
-compiler; the two share nothing but the alphabet type.
+input tuples, with variables entering as dictator observables.  Each
+distinct variable enters as one dictator per compile, built at its first
+occurrence, shared by the later ones and dropped after its last; nothing
+is kept between compiles.  `eval_classical` recomputes single outputs by
+plain scalar recursion and serves as the oracle for the compiler; the two
+share only the alphabet type, the variable binding and the alphabet checks.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .core import DiagObservable
+from .core import DiagObservable, _whole_number
 from .errors import AlphabetError, ArityMismatchError, FormulaSyntaxError, NonMemberError
 from .synthesis import ISOMETRIC, TERNARY, ValueAlphabet, dictator
 
@@ -302,17 +306,32 @@ _VEC_BOOL_OPS = {
 
 
 def _eigen_vector(
-    node: FormulaNode, alphabet: ValueAlphabet, positions: dict[str, int], arity: int
+    node: FormulaNode,
+    alphabet: ValueAlphabet,
+    positions: dict[str, int],
+    arity: int,
+    leaves: dict[str, tuple[int, np.ndarray | None]],
 ) -> np.ndarray:
+    """Eigenvalue vector of ``node``.
+
+    ``leaves`` maps each variable to its occurrences still to be compiled
+    and, between its first and last occurrence, its dictator eigenvalues.
+    Those are read-only and every operation below returns a new array, so
+    the occurrences can share them; a variable used once keeps nothing.
+    """
     false_v, true_v = alphabet.values[0], alphabet.values[-1]
     if isinstance(node, Var):
-        return dictator(positions[node.name], arity, alphabet).eigenvalues
+        uses, vec = leaves[node.name]
+        if vec is None:
+            vec = dictator(positions[node.name], arity, alphabet).eigenvalues
+        leaves[node.name] = (uses - 1, vec if uses > 1 else None)
+        return vec
     if isinstance(node, Not):
         _require_two_valued(alphabet, "NOT")
-        child = _eigen_vector(node.child, alphabet, positions, arity)
+        child = _eigen_vector(node.child, alphabet, positions, arity, leaves)
         return np.where(child == true_v, false_v, true_v)
-    left = _eigen_vector(node.left, alphabet, positions, arity)
-    right = _eigen_vector(node.right, alphabet, positions, arity)
+    left = _eigen_vector(node.left, alphabet, positions, arity, leaves)
+    right = _eigen_vector(node.right, alphabet, positions, arity, leaves)
     if node.op == "MIN":
         _require_minmax_alphabet(alphabet, node.op)
         # True is the most negative value, so the logically smaller of two
@@ -340,8 +359,21 @@ def compile(
     """
     if arity is None:
         arity = len(variables) if variables is not None else len(variables_of(node))
+    arity = _whole_number(arity)
     positions = _bind_positions(node, arity, variables)
-    vec = _eigen_vector(node, alphabet, positions, arity)
+    # Count each variable's occurrences, so that its dictator is dropped after the last.
+    uses = Counter()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Var):
+            uses[n.name] += 1
+        elif isinstance(n, Not):
+            stack.append(n.child)
+        else:
+            stack += (n.left, n.right)
+    leaves = {name: (count, None) for name, count in uses.items()}
+    vec = _eigen_vector(node, alphabet, positions, arity, leaves)
     observable = DiagObservable((alphabet.size,) * arity, vec)
     return CompiledFormula(arity, alphabet, observable)
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import shlex
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -383,7 +384,13 @@ _JSON_VALUES = st.recursive(
 @st.composite
 def _json_documents(draw):
     """Observable- and state-shaped JSON with random fields, as text."""
-    arities = draw(st.lists(st.one_of(st.integers(-1, 4), _NUMBERS), max_size=4))
+    arities = draw(
+        st.one_of(
+            st.lists(st.one_of(st.integers(-1, 4), _NUMBERS), max_size=4),
+            # Long lists, mostly of valid arities, up to a few hundred entries.
+            st.lists(st.one_of(st.integers(2, 3), st.integers(-1, 4)), min_size=5, max_size=300),
+        )
+    )
     values = draw(st.lists(_NUMBERS, max_size=9))
     doc = draw(
         st.one_of(
@@ -406,7 +413,7 @@ _WORDS = st.one_of(
     st.text(max_size=8),
 )
 _PATHS = st.sampled_from(["no/such/file", ".", "-"])
-_ARITY = st.one_of(st.integers(-3, 70).map(str), _NUMBER_TEXT)
+_ARITY = st.one_of(st.integers(-3, 70).map(str), st.integers(71, 10 ** 6).map(str), _NUMBER_TEXT)
 _RARELY = st.sampled_from([True] + [False] * 5)
 _JSON = _json_documents()
 
@@ -453,6 +460,11 @@ _OPTIONS = {
 def _argv(draw):
     # The commands that parse JSON and numbers are drawn twice as often.
     command = draw(st.sampled_from(sorted(_OPTIONS) + ["table", "fuzzy", "compile", "synth"]))
+    return draw(_command_argv(command))
+
+
+@st.composite
+def _command_argv(draw, command):
     argv = [command]
     if command == "verify":
         argv.append(draw(st.sampled_from(["table1", "minmax", "bogus"])))
@@ -474,6 +486,64 @@ def test_random_argv_never_escapes(monkeypatch, argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2)
+
+
+# The most memory one argv of a subcommand may allocate at a cap of 64,
+# measured by tracemalloc above what was live before the call.  The largest
+# peak seen was 245 kB, a first `verify minmax` in a fresh process; every
+# other subcommand stayed under 80 kB over 1,000 drawn argvs each.
+MAIN_PEAK_BOUND = 512 * 1024
+
+
+def _main_peak(monkeypatch, argv) -> tuple[int, int]:
+    """Exit code and traced peak bytes of one `main` call at a cap of 64."""
+    monkeypatch.setenv("EIGENLOGIC_DIM_CAP", "64")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            code = main(argv)
+            return code, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", sorted(_OPTIONS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_random_argv_allocates_little_at_a_small_cap(monkeypatch, command, data):
+    argv = data.draw(_command_argv(command))
+    code, peak = _main_peak(monkeypatch, argv)
+    assert code in (0, 1, 2)
+    assert peak < MAIN_PEAK_BOUND, (argv, peak)
+
+
+_LONG_ARITIES = json.dumps({"arities": [2] * 300, "eigenvalues": [0, 1]})
+_LONG_STATE = json.dumps({"arities": [2] * 300, "re": [1, 0], "im": [0, 0]})
+
+
+# Valid arguments at the largest sizes the random draws reach, which those
+# draws seldom combine.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--alphabet=0,1", "--outputs=" + ",".join(["0"] * 64), "--json"],
+        ["synth", "--alphabet=0,1", "--outputs=" + ",".join(["0"] * 128)],
+        ["table", "--alphabet=0,1", f"--observable={_LONG_ARITIES}"],
+        ["compile", "--formula=A AND B", "--arity=1000000"],
+        ["compile", "--formula=A AND B", "--arity=6", "--json"],
+        ["fuzzy", "--formula=A AND B", "--arity=1000000", "--p=0.5", "--q=0.5"],
+        ["fuzzy", "--formula=A AND B", f"--state={_LONG_STATE}"],
+        ["catalog", "--convention=isometric", "--json"],
+        ["verify", "table1", "--json"],
+        ["verify", "minmax", "--json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_largest_argv_allocates_little_at_a_small_cap(monkeypatch, argv):
+    code, peak = _main_peak(monkeypatch, argv)
+    assert code in (0, 1)
+    assert peak < MAIN_PEAK_BOUND, peak
 
 
 def _readme_examples():

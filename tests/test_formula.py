@@ -1,18 +1,24 @@
 import itertools
+import math
+import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eigenlogic import (
     AlphabetError,
     ArityMismatchError,
+    CapacityError,
     FormulaSyntaxError,
     ISOMETRIC,
     PROJECTIVE,
     TERNARY,
     binary_catalog,
+    dictator,
     min_observable,
 )
+from eigenlogic import formula as formula_module
 from eigenlogic.formula import (
     BINARY_OPS,
     MAX_DEPTH,
@@ -322,3 +328,162 @@ def test_compiled_formula_validates_shape():
 
 def test_variables_of():
     assert variables_of(parse("MAX(MIN(A, C), C)")) == {"A", "C"}
+
+
+# --- one dictator per distinct variable ----------------------------------------
+
+
+def _count_dictators(monkeypatch) -> list:
+    """Record the arguments of every `dictator` call that `compile` makes."""
+    calls = []
+    real = formula_module.dictator
+
+    def counting(position, arity, alphabet):
+        calls.append((position, arity))
+        return real(position, arity, alphabet)
+
+    monkeypatch.setattr(formula_module, "dictator", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "text, alphabet, expected",
+    [
+        ("(A AND B) OR (A AND NOT B)", PROJECTIVE, [(0, 2), (1, 2)]),
+        ("MIN(A, MIN(A, A))", TERNARY, [(0, 1)]),
+        ("MAX(C, MIN(A, C))", ISOMETRIC, [(1, 2), (0, 2)]),
+    ],
+)
+def test_each_distinct_variable_builds_one_dictator(monkeypatch, text, alphabet, expected):
+    calls = _count_dictators(monkeypatch)
+    compile(parse(text), alphabet)
+    assert calls == expected
+
+
+def test_repeated_leaf_matches_the_dictator_exactly():
+    for alphabet in (TERNARY, ISOMETRIC):
+        compiled = compile(parse("MIN(A, MAX(A, A))"), alphabet)
+        assert compiled.observable == dictator(0, 1, alphabet)
+
+
+def test_no_dictator_is_kept_between_compiles(monkeypatch):
+    calls = _count_dictators(monkeypatch)
+    node = parse("A XOR (B AND A)")
+    compile(node, PROJECTIVE)
+    compile(node, PROJECTIVE)
+    assert calls == [(0, 2), (1, 2)] * 2
+
+
+def _compile_peak_bytes(text: str, arity: int) -> int:
+    node = parse(text)
+    tracemalloc.start()
+    try:
+        compile(node, PROJECTIVE, arity=arity)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_dictator_is_dropped_after_its_last_occurrence():
+    # Twelve variables used once each may not hold twelve dictators at a time:
+    # the compile peaks within a few vectors of one variable used twelve times.
+    vector_bytes = 8 * 2 ** 12
+    distinct = _compile_peak_bytes(" AND ".join("ABCDEFGHIJKL"), 12)
+    repeated = _compile_peak_bytes(" AND ".join("A" * 12), 12)
+    assert distinct < repeated + 4 * vector_bytes
+
+
+def test_compiling_twice_gives_equal_observables_sharing_no_writable_array():
+    node = parse("(A AND B) OR (NOT A AND B)")
+    first, second = compile(node, PROJECTIVE), compile(node, PROJECTIVE)
+    assert first.observable == second.observable
+    a, b = first.observable.eigenvalues, second.observable.eigenvalues
+    assert not a.flags.writeable and not b.flags.writeable
+    assert not np.shares_memory(a, b)
+
+
+_FRAGMENTS = [
+    (PROJECTIVE, tuple(op for op in BINARY_OPS if op not in ("MIN", "MAX")), True),
+    (ISOMETRIC, BINARY_OPS, True),
+    (TERNARY, ("MIN", "MAX"), False),
+]
+
+
+def _repetitive_formulas(ops, allow_not):
+    """Formulas of up to 24 leaves over at most three names, so leaves repeat."""
+
+    def extend(children):
+        binary = st.builds(BinOp, st.sampled_from(ops), children, children)
+        return st.one_of(children.map(Not), binary) if allow_not else binary
+
+    return st.recursive(VARIABLES, extend, max_leaves=24)
+
+
+_FRAGMENT_FORMULAS = st.sampled_from(_FRAGMENTS).flatmap(
+    lambda fragment: st.tuples(st.just(fragment[0]), _repetitive_formulas(*fragment[1:]))
+)
+
+
+@given(_FRAGMENT_FORMULAS)
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_compile_with_repeated_leaves_matches_classical_evaluation(monkeypatch, case):
+    alphabet, node = case
+    order = sorted(variables_of(node))
+    calls = _count_dictators(monkeypatch)
+    compiled = compile(node, alphabet, arity=len(order), variables=order)
+    assert sorted(calls) == [(i, len(order)) for i in range(len(order))]
+    eigenvalues = compiled.observable.eigenvalues
+    for w, assignment in enumerate(itertools.product(alphabet.values, repeat=len(order))):
+        assert eigenvalues[w] == eval_classical(node, assignment, alphabet, variables=order)
+
+
+# Exception type and message for each case: a repeated variable moves no
+# error and changes no text, because its first occurrence still raises first.
+@pytest.mark.parametrize(
+    "text, alphabet, arity, cap, error, message",
+    [
+        ("NOT A", TERNARY, None, None, AlphabetError,
+         "NOT is defined for two-valued alphabets only, got 3 values"),
+        ("A AND (NOT A)", TERNARY, None, None, AlphabetError,
+         "NOT is defined for two-valued alphabets only, got 3 values"),
+        ("MIN(A, A)", PROJECTIVE, None, None, AlphabetError,
+         "MIN requires the (+1, 0, -1) or (+1, -1) alphabet, got (0.0, 1.0)"),
+        ("A", PROJECTIVE, 10, "64", CapacityError, "dimension 1024 exceeds the cap of 64"),
+        ("(A AND B) OR A", PROJECTIVE, 7, "64", CapacityError,
+         "dimension 128 exceeds the cap of 64"),
+        ("MIN(A, NOT B)", TERNARY, 4, "64", CapacityError, "dimension 81 exceeds the cap of 64"),
+        ("NOT A", TERNARY, 4, "64", AlphabetError,
+         "NOT is defined for two-valued alphabets only, got 3 values"),
+    ],
+)
+def test_compile_errors_keep_their_order_and_text(
+    monkeypatch, text, alphabet, arity, cap, error, message
+):
+    if cap is not None:
+        monkeypatch.setenv("EIGENLOGIC_DIM_CAP", cap)
+    with pytest.raises(error) as err:
+        compile(parse(text), alphabet, arity=arity)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+# --- the arity argument -------------------------------------------------------
+
+
+@pytest.mark.parametrize("arity", [2, 2.0, np.int64(2), np.float64(2.0)])
+def test_compile_reads_a_whole_number_arity(arity):
+    compiled = compile(parse("A"), PROJECTIVE, arity=arity)
+    assert type(compiled.arity) is int and compiled.arity == 2
+    assert compiled.observable == dictator(0, 2, PROJECTIVE)
+
+
+@pytest.mark.parametrize("arity, shown", [(2.5, "2.5"), (-1, "-1"), (math.inf, "inf")])
+def test_compile_rejects_a_fractional_or_negative_arity(arity, shown):
+    with pytest.raises(ValueError) as err:
+        compile(parse("A"), PROJECTIVE, arity=arity)
+    assert str(err.value) == f"an arity must be a non-negative whole number, got {shown}"
+
+
+def test_compile_with_too_small_a_whole_arity_is_still_an_arity_mismatch():
+    with pytest.raises(ArityMismatchError, match="formula needs at least 2 arguments, got arity 1"):
+        compile(parse("A AND B"), PROJECTIVE, arity=1.0)
