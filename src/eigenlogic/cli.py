@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import formula as fdsl
-from .core import DiagObservable, _arity_for, classify
+from .core import DiagObservable, _arity_for, _diag_text, _fmt, classify
 from .errors import EigenlogicError
 from .fuzzy import StateVector, born_mean, membership, product_state, qubit_from_probability
 from .synthesis import (
@@ -32,23 +32,9 @@ class _UsageError(Exception):
     pass
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".12g")
-
-
-def _diag_text(observable) -> str:
-    return "diag(" + ", ".join(_fmt(v) for v in observable.eigenvalues) + ")"
-
-
 def _class_text(observable) -> str:
     labels = classify(observable).labels()
     return " ".join(labels) if labels else "none"
-
-
-def _parse_alphabet(raw: str, names: str | None) -> ValueAlphabet:
-    values = tuple(float(tok) for tok in raw.split(","))
-    name_tuple = tuple(names.split(",")) if names else None
-    return ValueAlphabet(values, name_tuple)
 
 
 def _load_json(raw: str):
@@ -75,7 +61,7 @@ def _cmd_synth(args) -> int:
     else:
         if not args.outputs or not args.alphabet:
             raise _UsageError("--outputs requires --alphabet (or use --table-file)")
-        alphabet = _parse_alphabet(args.alphabet, args.names)
+        alphabet = ValueAlphabet._from_text(args.alphabet, args.names)
         outputs = tuple(float(tok) for tok in args.outputs.split(","))
         table = TruthTable(alphabet, _arity_for(len(outputs), alphabet.size), outputs)
     _print_observable(synthesize(table), args.json)
@@ -87,7 +73,7 @@ def _cmd_table(args) -> int:
         raise _UsageError("give exactly one of --observable or --observable-file")
     raw = args.observable or Path(args.observable_file).read_text()
     observable = DiagObservable.from_json(_load_json(raw))
-    alphabet = _parse_alphabet(args.alphabet, args.names)
+    alphabet = ValueAlphabet._from_text(args.alphabet, args.names)
     table = read_table(observable, alphabet, args.tol)
     if args.json:
         print(json.dumps(table.to_json()))
@@ -97,7 +83,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    alphabet = _parse_alphabet(args.alphabet, args.names)
+    alphabet = ValueAlphabet._from_text(args.alphabet, args.names)
     variables = tuple(args.variables.split(",")) if args.variables else None
     node = fdsl.parse(args.formula)
     compiled = fdsl.compile(node, alphabet, arity=args.arity, variables=variables)
@@ -126,10 +112,12 @@ def _build_state(args) -> StateVector:
             raise _UsageError("--p requires --q")
         return product_state(
             [
-                qubit_from_probability(args.p, args.phase_p),
-                qubit_from_probability(args.q, args.phase_q),
+                qubit_from_probability(args.p, args.phase_p or 0.0),
+                qubit_from_probability(args.q, args.phase_q or 0.0),
             ]
         )
+    if (args.q, args.phase_p, args.phase_q) != (None, None, None):
+        raise _UsageError("--q, --phase-p and --phase-q apply to --p only")
     raw = args.state or Path(args.state_file).read_text()
     return StateVector.from_json(_load_json(raw))
 
@@ -137,11 +125,13 @@ def _build_state(args) -> StateVector:
 def _cmd_fuzzy(args) -> int:
     if bool(args.formula) == bool(args.connective):
         raise _UsageError("give exactly one of --formula or --connective")
+    if args.connective and (args.alphabet, args.arity) != (None, None):
+        raise _UsageError("--alphabet and --arity apply to --formula only")
     state = _build_state(args)
     if args.connective:
         mean = membership(state, args.connective)
     else:
-        alphabet = _parse_alphabet(args.alphabet, None)
+        alphabet = ValueAlphabet._from_text("0,1" if args.alphabet is None else args.alphabet)
         compiled = fdsl.compile(fdsl.parse(args.formula), alphabet, arity=args.arity)
         mean = born_mean(state, compiled.observable)
     if args.json:
@@ -234,12 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     fuzzy = command("fuzzy", help="Born-rule mean of a connective or formula")
     fuzzy.add_argument("--formula")
     fuzzy.add_argument("--connective", help="name from the binary catalog")
-    fuzzy.add_argument("--alphabet", default="0,1", help="alphabet for --formula")
+    fuzzy.add_argument("--alphabet", help="alphabet for --formula (default 0,1)")
     fuzzy.add_argument("--arity", type=int)
     fuzzy.add_argument("--p", type=float, help="probability of true for argument one")
     fuzzy.add_argument("--q", type=float, help="probability of true for argument two")
-    fuzzy.add_argument("--phase-p", type=float, default=0.0)
-    fuzzy.add_argument("--phase-q", type=float, default=0.0)
+    fuzzy.add_argument("--phase-p", type=float)
+    fuzzy.add_argument("--phase-q", type=float)
     fuzzy.add_argument("--state", help="state as inline JSON")
     fuzzy.add_argument("--state-file", help="state JSON file")
     fuzzy.set_defaults(func=_cmd_fuzzy)

@@ -121,6 +121,19 @@ def _as_arities(arities: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
+def _check_tolerance(tol: float) -> None:
+    if not tol >= 0:  # also rejects NaN
+        raise ValueError(f"tolerance must be non-negative, got {tol}")
+
+
+def _fmt(value: float) -> str:
+    return format(value, ".12g")
+
+
+def _diag_text(f: DiagObservable) -> str:
+    return "diag(" + ", ".join(map(_fmt, f.eigenvalues)) + ")"
+
+
 def _json_field(data, key: str, convert):
     """``convert(data[key])``, or a ValueError naming the missing or bad field."""
     if not isinstance(data, dict):
@@ -209,8 +222,7 @@ class DiagObservable:
         )
 
     def __repr__(self) -> str:
-        vals = ", ".join(format(v, ".12g") for v in self.eigenvalues)
-        return f"DiagObservable(arities={self.arities}, diag({vals}))"
+        return f"DiagObservable(arities={self.arities}, {_diag_text(self)})"
 
     # Operator arithmetic.  Co-diagonal observables commute, so sums, scalar
     # multiples and entrywise products are again observables of the family.
@@ -358,8 +370,7 @@ def classify(f: DiagObservable, tol: float = DEFAULT_TOL) -> ObservableClass:
     (the observable squares to the identity).  The two overlap exactly
     when every eigenvalue is 1, i.e. for the identity.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be non-negative")
+    _check_tolerance(tol)
     eig = f.eigenvalues
     near_zero = np.abs(eig) <= tol
     near_one = np.abs(eig - 1.0) <= tol

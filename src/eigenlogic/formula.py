@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import AbstractSet, Sequence, Union
 
 import numpy as np
 
@@ -270,9 +270,9 @@ def _require_minmax_alphabet(alphabet: ValueAlphabet, op: str) -> None:
 
 
 def _bind_positions(
-    node: FormulaNode, arity: int, variables: Sequence[str] | None
+    used: AbstractSet[str], arity: int, variables: Sequence[str] | None
 ) -> dict[str, int]:
-    used = variables_of(node)
+    """Argument positions of the variable names ``used`` by a formula."""
     if variables is None:
         order = sorted(used)
     else:
@@ -357,11 +357,7 @@ def compile(
     ``variables`` order is declared.  ``arity`` may exceed the number of
     variables (unused arguments); it defaults to the number bound.
     """
-    if arity is None:
-        arity = len(variables) if variables is not None else len(variables_of(node))
-    arity = _whole_number(arity)
-    positions = _bind_positions(node, arity, variables)
-    # Count each variable's occurrences, so that its dictator is dropped after the last.
+    # One walk: the names bind positions, and each count drops a dictator after its last use.
     uses = Counter()
     stack = [node]
     while stack:
@@ -372,6 +368,10 @@ def compile(
             stack.append(n.child)
         else:
             stack += (n.left, n.right)
+    if arity is None:
+        arity = len(variables) if variables is not None else len(uses)
+    arity = _whole_number(arity)
+    positions = _bind_positions(uses.keys(), arity, variables)
     leaves = {name: (count, None) for name, count in uses.items()}
     vec = _eigen_vector(node, alphabet, positions, arity, leaves)
     observable = DiagObservable((alphabet.size,) * arity, vec)
@@ -407,7 +407,7 @@ def eval_classical(
         if pos < 0:
             raise NonMemberError(i, float(v), f"assignment value {v!r} is not in the alphabet")
         values.append(alphabet.values[pos])
-    positions = _bind_positions(node, len(values), variables)
+    positions = _bind_positions(variables_of(node), len(values), variables)
 
     def walk(n: FormulaNode) -> float:
         if isinstance(n, Var):

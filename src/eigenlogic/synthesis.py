@@ -23,6 +23,8 @@ from .core import (
     DEFAULT_TOL,
     DiagObservable,
     _arity_for,
+    _check_tolerance,
+    _fmt,
     _json_field,
     _power_text,
     _whole_number,
@@ -79,6 +81,11 @@ class ValueAlphabet:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "names", names)
 
+    @classmethod
+    def _from_text(cls, values: str, names: str | None = None) -> "ValueAlphabet":
+        """An alphabet from comma-separated values and, unless empty, names."""
+        return cls(tuple(map(float, values.split(","))), names.split(",") if names else None)
+
     @property
     def size(self) -> int:
         return len(self.values)
@@ -109,7 +116,7 @@ class ValueAlphabet:
     def label(self, position: int) -> str:
         if self.names is not None:
             return self.names[position]
-        return format(self.values[position], ".12g")
+        return _fmt(self.values[position])
 
 
 PROJECTIVE = ValueAlphabet((0.0, 1.0), ("F", "T"))
@@ -196,7 +203,7 @@ class TruthTable:
             yield tuple(self.alphabet.values[d] for d in digits)
 
     def to_text(self) -> str:
-        labels = [format(v, ".12g") for v in self.alphabet.values]
+        labels = [_fmt(v) for v in self.alphabet.values]
         rows = " ".join([labels[p] for p in self.positions.tolist()])
         return f"alphabet: {','.join(labels)}\narity: {self.arity}\n{rows}\n"
 
@@ -205,10 +212,10 @@ class TruthTable:
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if len(lines) < 2 or not lines[0].startswith("alphabet:") or not lines[1].startswith("arity:"):
             raise ValueError("expected 'alphabet: ...' then 'arity: ...' header lines")
-        values = [float(tok) for tok in lines[0].split(":", 1)[1].split(",")]
+        alphabet = ValueAlphabet._from_text(lines[0].split(":", 1)[1])
         arity = int(lines[1].split(":", 1)[1])
         outputs = [float(tok) for ln in lines[2:] for tok in ln.split()]
-        return cls(ValueAlphabet(tuple(values)), arity, tuple(outputs))
+        return cls(alphabet, arity, tuple(outputs))
 
     def to_json(self) -> dict:
         data = {
@@ -338,6 +345,7 @@ def read_table(
     Raises NonMemberError at the first eigenvalue that matches no alphabet
     value within ``tol``.
     """
+    _check_tolerance(tol)
     for m in f.arities:
         if m != alphabet.size:
             raise ArityMismatchError(

@@ -572,3 +572,55 @@ def test_readme_examples_print_what_the_readme_shows(capsys, command, expected):
     code, out, _ = run(capsys, *shlex.split(command)[1:])
     assert code == 0
     assert [line for line in out.splitlines() if word in line] == expected
+
+
+@pytest.mark.parametrize("tol, text", [("-1", "-1.0"), ("nan", "nan")])
+def test_table_refuses_negative_and_nan_tolerance(capsys, tol, text):
+    observable = '{"arities":[2],"eigenvalues":[0,1]}'
+    result = run(capsys, "table", "--observable", observable, "--alphabet", "0,1", "--tol", tol)
+    assert result == (1, "", f"error: tolerance must be non-negative, got {text}\n")
+
+
+_BELL = '{"arities": [2, 2], "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}'
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--connective=AND", "--p=0.3", "--q=0.5", "--alphabet=0,1"], "--alphabet and --arity"),
+        (["--connective=AND", "--p=0.3", "--q=0.5", "--alphabet=1,0,-1"], "--alphabet and --arity"),
+        (["--connective=AND", "--p=0.3", "--q=0.5", "--arity=2"], "--alphabet and --arity"),
+        (["--connective=AND", f"--state={_BELL}", "--arity=7"], "--alphabet and --arity"),
+        (["--connective=AND", f"--state={_BELL}", "--q=0.5"], "--q, --phase-p and --phase-q"),
+        (["--connective=AND", f"--state={_BELL}", "--phase-p=0"], "--q, --phase-p and --phase-q"),
+        (["--formula=A AND B", f"--state={_BELL}", "--phase-q=1"], "--q, --phase-p and --phase-q"),
+        (["--formula=A", "--state-file=no/such/file", "--q=0.5"], "--q, --phase-p and --phase-q"),
+    ],
+)
+def test_fuzzy_refuses_flags_its_mode_ignores(capsys, argv, message):
+    code, out, err = run(capsys, "fuzzy", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: {message} apply to")
+
+
+@pytest.mark.parametrize(
+    "argv, mean",
+    [
+        (["--formula=A AND B", "--p=0.3", "--q=0.5", "--alphabet=0,1", "--arity=2"], "0.15"),
+        (["--formula=A AND B", f"--state={_BELL}", "--alphabet=0,1", "--arity=2"], "0.5"),
+        (["--connective=AND", "--p=0.3", "--q=0.5", "--phase-p=1.5", "--phase-q=-0.0"], "0.15"),
+    ],
+)
+def test_fuzzy_takes_the_flags_its_mode_uses(capsys, argv, mean):
+    assert run(capsys, "fuzzy", *argv) == (0, mean + "\n", "")
+
+
+# Most random fuzzy argvs above fill a slot that their mode refuses, so
+# state JSON gets its own draws.
+@given(st.sampled_from(["--connective=AND", "--formula=A AND B"]), _JSON, st.booleans())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_random_state_json_never_escapes(monkeypatch, target, state, as_json):
+    monkeypatch.setenv("EIGENLOGIC_DIM_CAP", "64")
+    argv = ["fuzzy", target, f"--state={state}"] + ["--json"] * as_json
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1)

@@ -391,3 +391,10 @@ def test_power_exceeds_agrees_with_the_power():
             for limit in (0, 1, 7, 8, 9, 64, 59048, 59049, 2 ** 20):
                 assert _power_exceeds(base, exponent, limit) == (base ** exponent > limit)
     assert _power_exceeds(2, 10 ** 400, 64)
+
+
+@pytest.mark.parametrize("tol, text", [(-1.0, "-1.0"), (float("nan"), "nan")])
+def test_classify_rejects_negative_and_nan_tolerance(tol, text):
+    with pytest.raises(ValueError) as err:
+        classify(PI, tol=tol)
+    assert str(err.value) == f"tolerance must be non-negative, got {text}"

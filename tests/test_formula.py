@@ -487,3 +487,32 @@ def test_compile_rejects_a_fractional_or_negative_arity(arity, shown):
 def test_compile_with_too_small_a_whole_arity_is_still_an_arity_mismatch():
     with pytest.raises(ArityMismatchError, match="formula needs at least 2 arguments, got arity 1"):
         compile(parse("A AND B"), PROJECTIVE, arity=1.0)
+
+
+def _count_variables_of(monkeypatch) -> list:
+    calls = []
+    real = formula_module.variables_of
+
+    def counting(node):
+        calls.append(node)
+        return real(node)
+
+    monkeypatch.setattr(formula_module, "variables_of", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "arity, variables", [(None, None), (None, ("C", "B", "A")), (4, None), (3, ("A", "B", "C"))]
+)
+def test_compile_finds_variables_in_its_one_counting_walk(monkeypatch, arity, variables):
+    calls = _count_variables_of(monkeypatch)
+    node = parse("MIN(A, MAX(C, A))")
+    compiled = compile(node, TERNARY, arity=arity, variables=variables)
+    assert calls == []
+    order = list(variables or ("A", "C"))
+    expected_arity = arity or len(order)
+    assert compiled.arity == expected_arity
+    inputs = itertools.product(TERNARY.values, repeat=expected_arity)  # canonical order
+    for eig, digits in zip(compiled.observable.eigenvalues, inputs):
+        assert eig == eval_classical(node, digits, TERNARY, variables)
+    assert calls  # the oracle keeps its own walk

@@ -640,3 +640,12 @@ def test_snap_and_positions_at_integer_type_boundaries(size):
     table = TruthTable(alphabet, 1, [alphabet.values[-1 - k] for k in range(size)])
     assert table.positions.tolist() == list(range(size - 1, -1, -1))
     assert read_table(synthesize(table), alphabet) == table
+
+
+@pytest.mark.parametrize("tol, text", [(-1.0, "-1.0"), (math.nan, "nan")])
+def test_read_table_rejects_negative_and_nan_tolerance(tol, text):
+    # The tolerance is refused before any eigenvalue is blamed.
+    with pytest.raises(ValueError) as err:
+        read_table(seed_projector(), PROJECTIVE, tol)
+    assert str(err.value) == f"tolerance must be non-negative, got {text}"
+    assert not isinstance(err.value, NonMemberError)
