@@ -37,7 +37,9 @@ def _class_text(observable) -> str:
     return " ".join(labels) if labels else "none"
 
 
-def _load_json(raw: str):
+def _load_json(inline: str | None, path: str | None):
+    """JSON given inline or, when ``inline`` is None, read from the file ``path``."""
+    raw = Path(path).read_text() if inline is None else inline
     try:
         return json.loads(raw)
     except RecursionError:
@@ -54,12 +56,14 @@ def _print_observable(observable, as_json: bool) -> None:
 
 
 def _cmd_synth(args) -> int:
-    if args.table_file and args.outputs:
-        raise _UsageError("give either --outputs or --table-file, not both")
-    if args.table_file:
+    if args.table_file is not None:
+        if args.outputs is not None:
+            raise _UsageError("give either --outputs or --table-file, not both")
+        if (args.alphabet, args.names) != (None, None):
+            raise _UsageError("--alphabet and --names apply to --outputs only")
         table = TruthTable.from_text(Path(args.table_file).read_text())
     else:
-        if not args.outputs or not args.alphabet:
+        if args.outputs is None or args.alphabet is None:
             raise _UsageError("--outputs requires --alphabet (or use --table-file)")
         alphabet = ValueAlphabet._from_text(args.alphabet, args.names)
         outputs = tuple(float(tok) for tok in args.outputs.split(","))
@@ -69,10 +73,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if bool(args.observable) == bool(args.observable_file):
+    if (args.observable is None) == (args.observable_file is None):
         raise _UsageError("give exactly one of --observable or --observable-file")
-    raw = args.observable or Path(args.observable_file).read_text()
-    observable = DiagObservable.from_json(_load_json(raw))
+    observable = DiagObservable.from_json(_load_json(args.observable, args.observable_file))
     alphabet = ValueAlphabet._from_text(args.alphabet, args.names)
     table = read_table(observable, alphabet, args.tol)
     if args.json:
@@ -104,8 +107,7 @@ def _cmd_compile(args) -> int:
 
 
 def _build_state(args) -> StateVector:
-    sources = sum(1 for s in (args.p is not None, args.state, args.state_file) if s)
-    if sources != 1:
+    if (args.p, args.state, args.state_file).count(None) != 2:
         raise _UsageError("give exactly one of --p/--q, --state or --state-file")
     if args.p is not None:
         if args.q is None:
@@ -118,17 +120,16 @@ def _build_state(args) -> StateVector:
         )
     if (args.q, args.phase_p, args.phase_q) != (None, None, None):
         raise _UsageError("--q, --phase-p and --phase-q apply to --p only")
-    raw = args.state or Path(args.state_file).read_text()
-    return StateVector.from_json(_load_json(raw))
+    return StateVector.from_json(_load_json(args.state, args.state_file))
 
 
 def _cmd_fuzzy(args) -> int:
-    if bool(args.formula) == bool(args.connective):
+    if (args.formula is None) == (args.connective is None):
         raise _UsageError("give exactly one of --formula or --connective")
-    if args.connective and (args.alphabet, args.arity) != (None, None):
+    if args.connective is not None and (args.alphabet, args.arity) != (None, None):
         raise _UsageError("--alphabet and --arity apply to --formula only")
     state = _build_state(args)
-    if args.connective:
+    if args.connective is not None:
         mean = membership(state, args.connective)
     else:
         alphabet = ValueAlphabet._from_text("0,1" if args.alphabet is None else args.alphabet)

@@ -46,16 +46,6 @@ def check_capacity(size: int) -> None:
         raise CapacityError(f"{size} elements exceed the cap of {cap}")
 
 
-def _power_exceeds(base: int, exponent: int, limit: int) -> bool:
-    """True iff ``base ** exponent > limit``, for base >= 2 and exponent >= 0.
-
-    A power that is plainly too large is never formed, so a huge requested
-    arity costs neither time nor memory.
-    """
-    # base ** exponent >= 2 ** exponent, which exceeds any limit of that bit length.
-    return exponent >= max(limit, 1).bit_length() or base ** exponent > limit
-
-
 def _power_text(base: int, exponent: int) -> str:
     """``base ** exponent`` written out, or as ``base**exponent`` when too long."""
     if exponent * base.bit_length() <= 4096:
@@ -64,9 +54,14 @@ def _power_text(base: int, exponent: int) -> str:
 
 
 def check_power_capacity(base: int, exponent: int) -> int:
-    """`check_capacity` for the dimension ``base ** exponent``, which it returns."""
+    """`check_capacity` for the dimension ``base ** exponent``, which it returns.
+
+    For base >= 2, a power that is plainly too large is never formed, so a
+    huge requested arity costs neither time nor memory.
+    """
     cap = dimension_cap()
-    if _power_exceeds(base, exponent, cap):
+    # base ** exponent >= 2 ** exponent, which exceeds any cap of that bit length.
+    if exponent >= cap.bit_length() or base ** exponent > cap:
         raise CapacityError(f"dimension {_power_text(base, exponent)} exceeds the cap of {cap}")
     return base ** exponent
 
@@ -80,7 +75,7 @@ def _arity_for(length: int, size: int) -> int:
     return arity
 
 
-def _dimension(arities: tuple[int, ...], limit: int) -> int | None:
+def _dimension(arities: tuple[int, ...], limit: int = 2 ** 64) -> int | None:
     """The product of ``arities``, or None once it exceeds ``limit``."""
     dim = 1
     for m in arities:  # each m >= 2, so this stops within limit.bit_length() + 1 steps
@@ -91,16 +86,17 @@ def _dimension(arities: tuple[int, ...], limit: int) -> int | None:
 
 
 def _capped_dimension(arities: tuple[int, ...]) -> int:
-    dim = _dimension(arities, dimension_cap())
+    cap = dimension_cap()
+    dim = _dimension(arities, cap)
     if dim is None:
-        dim = _dimension(arities, 2 ** 64) or "over 2**64"
-        raise CapacityError(f"dimension {dim} exceeds the cap of {dimension_cap()}")
+        dim = _dimension(arities) or "over 2**64"
+        raise CapacityError(f"dimension {dim} exceeds the cap of {cap}")
     return dim
 
 
 def _check_length(what: str, length: int, arities: tuple[int, ...]) -> None:
     if len(arities) > length.bit_length() or math.prod(arities) != length:  # each arity >= 2
-        dim = _dimension(arities, 2 ** 64) or "over 2**64"
+        dim = _dimension(arities) or "over 2**64"
         raise ValueError(f"{what} has length {length}, expected {dim} for {len(arities)} arities")
 
 

@@ -31,7 +31,7 @@ from .errors import (
     NormalizationError,
     UnknownConnectiveError,
 )
-from .synthesis import binary_catalog
+from .synthesis import BINARY_CONNECTIVE_OUTPUTS, connective_table, synthesize
 
 _NORM_FLOOR = 1e-6
 _NORM_CEILING = 1e6
@@ -189,19 +189,19 @@ def membership(state: StateVector, connective_name: str, convention: str = "proj
     """Fuzzy membership degree of a named binary connective.
 
     Defined for the projective convention only, where the connective is a
-    projector and the mean is a probability in [0, 1].
+    projector and the mean is a probability in [0, 1].  The projector is
+    synthesized from the truth table; `verify` checks it against `binary_catalog`.
     """
     if convention != "projective":
         raise ConventionError(
             "membership degrees are defined for the projective convention only"
         )
-    catalog = binary_catalog("projective")
-    if connective_name not in catalog:
-        known = ", ".join(sorted(catalog))
+    if connective_name not in BINARY_CONNECTIVE_OUTPUTS:
+        known = ", ".join(sorted(BINARY_CONNECTIVE_OUTPUTS))
         raise UnknownConnectiveError(
             f"unknown connective {connective_name!r}; expected one of: {known}"
         )
-    return born_mean(state, catalog[connective_name])
+    return born_mean(state, synthesize(connective_table(connective_name)))
 
 
 def bound_check(state: StateVector, f: DiagObservable) -> bool:

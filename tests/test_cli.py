@@ -624,3 +624,42 @@ def test_random_state_json_never_escapes(monkeypatch, target, state, as_json):
     argv = ["fuzzy", target, f"--state={state}"] + ["--json"] * as_json
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 1)
+
+
+# A flag counts as given when it is present, even with an empty value.
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["fuzzy", "--connective=AND", "--state=", "--p=0.3", "--q=0.5"], 2,
+         "usage error: give exactly one of --p/--q, --state or --state-file\n"),
+        (["fuzzy", "--formula=", "--connective=AND", "--p=0.3", "--q=0.5"], 2,
+         "usage error: give exactly one of --formula or --connective\n"),
+        (["synth", "--table-file=", "--alphabet=0,1", "--outputs=0,1"], 2,
+         "usage error: give either --outputs or --table-file, not both\n"),
+        (["table", "--observable=", "--observable-file=no/such/file", "--alphabet=0,1"], 2,
+         "usage error: give exactly one of --observable or --observable-file\n"),
+        (["fuzzy", "--connective=AND", "--state="], 1,
+         "error: Expecting value: line 1 column 1 (char 0)\n"),
+        (["table", "--observable=", "--alphabet=0,1"], 1,
+         "error: Expecting value: line 1 column 1 (char 0)\n"),
+    ],
+    ids=["state-and-p", "formula-and-connective", "table-file-and-outputs",
+         "observable-and-file", "state-alone", "observable-alone"],
+)
+def test_an_empty_flag_counts_as_given(capsys, argv, code, err):
+    assert run(capsys, *argv) == (code, "", err)
+
+
+@pytest.mark.parametrize("flag", ["--alphabet=0,1", "--names=F,T", "--names="])
+def test_synth_table_file_refuses_alphabet_and_names(capsys, tmp_path, flag):
+    path = tmp_path / "t.txt"
+    path.write_text("alphabet: 0,1\narity: 1\n0 1\n")
+    assert run(capsys, "synth", f"--table-file={path}", flag) == (
+        2, "", "usage error: --alphabet and --names apply to --outputs only\n"
+    )
+
+
+def test_membership_refuses_a_small_cap_by_element_count(capsys, monkeypatch):
+    monkeypatch.setenv("EIGENLOGIC_DIM_CAP", "3")
+    result = run(capsys, "fuzzy", "--connective=AND", f"--state={_BELL}")
+    assert result == (1, "", "error: 4 elements exceed the cap of 3\n")

@@ -22,7 +22,7 @@ from eigenlogic import (
     kron_all,
     materialize,
 )
-from eigenlogic.core import _power_exceeds, check_power_capacity
+from eigenlogic.core import check_power_capacity
 
 
 def obs(arities, values):
@@ -385,12 +385,19 @@ def test_power_capacity_never_forms_a_huge_power():
         check_power_capacity(2, 40)
 
 
-def test_power_exceeds_agrees_with_the_power():
-    for base in range(2, 7):
-        for exponent in range(30):
-            for limit in (0, 1, 7, 8, 9, 64, 59048, 59049, 2 ** 20):
-                assert _power_exceeds(base, exponent, limit) == (base ** exponent > limit)
-    assert _power_exceeds(2, 10 ** 400, 64)
+def test_power_exceeds_agrees_with_the_power(monkeypatch):
+    for cap in (1, 7, 8, 9, 64, 59048, 59049, 2 ** 20):
+        monkeypatch.setenv("EIGENLOGIC_DIM_CAP", str(cap))
+        for base in range(2, 7):
+            for exponent in range(30):
+                if base ** exponent > cap:
+                    with pytest.raises(CapacityError, match=f"exceeds the cap of {cap}$"):
+                        check_power_capacity(base, exponent)
+                else:
+                    assert check_power_capacity(base, exponent) == base ** exponent
+    monkeypatch.setenv("EIGENLOGIC_DIM_CAP", "64")
+    with pytest.raises(CapacityError, match=r"dimension 2\*\*10{400} exceeds the cap of 64"):
+        check_power_capacity(2, 10 ** 400)
 
 
 @pytest.mark.parametrize("tol, text", [(-1.0, "-1.0"), (float("nan"), "nan")])

@@ -23,6 +23,7 @@ from eigenlogic import (
     qubit_from_probability,
     qubit_state,
 )
+from eigenlogic import synthesis
 from eigenlogic.fuzzy import within_bounds
 
 SEED = 1729
@@ -166,6 +167,42 @@ class TestMembership:
     def test_isometric_convention_rejected(self):
         with pytest.raises(ConventionError):
             membership(basis_state((2, 2), 0), "AND", convention="isometric")
+
+    def test_error_texts(self):
+        with pytest.raises(ConventionError) as err:
+            membership(basis_state((2, 2), 0), "MAYBE", convention="isometric")
+        assert str(err.value) == (
+            "membership degrees are defined for the projective convention only"
+        )
+        with pytest.raises(UnknownConnectiveError) as err:
+            membership(basis_state((2, 2), 0), "MAYBE")
+        assert str(err.value) == (
+            "unknown connective 'MAYBE'; expected one of: A, AND, B, CIMPL, EQUIV, FALSE, "
+            "IMPL, NAND, NCIMPL, NIMPL, NOR, NOTA, NOTB, OR, TRUE, XOR"
+        )
+
+    def test_equals_the_catalog_mean_bit_for_bit(self):
+        rng = np.random.default_rng(SEED)
+        random = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(200)]
+        entangled = [[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1j, -1j, 0], [2, 1, 1, 3j]]
+        states = [StateVector((2, 2), amps) for amps in random + entangled]
+        states += [basis_state((2, 2), w) for w in range(4)]
+        catalog = binary_catalog("projective")
+        for state in states:
+            for name, f in catalog.items():
+                assert np.float64(membership(state, name)).tobytes() == (
+                    np.float64(born_mean(state, f)).tobytes()
+                ), name
+
+    def test_does_not_build_the_catalog(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the catalog was built")
+
+        monkeypatch.setattr(synthesis, "binary_catalog", refuse)
+        monkeypatch.setattr(synthesis, "dictator", refuse)
+        s = product_state([qubit_from_probability(0.3), qubit_from_probability(0.5)])
+        assert abs(membership(s, "AND") - 0.15) <= 1e-12
+        assert abs(membership(s, "OR") - 0.65) <= 1e-12
 
 
 class TestBoundCheck:
