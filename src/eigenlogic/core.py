@@ -146,19 +146,19 @@ def _float_array(values) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _finite_float_array(values) -> np.ndarray:
-    arr = _float_array(values)
+def _finite_array(values, dtype=float, what: str = "entry") -> np.ndarray:
+    arr = np.asarray(values, dtype=dtype)
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
-        raise ValueError(f"entry at index {bad[0]} is {arr.flat[bad[0]]}, not a finite number")
+        raise ValueError(f"{what} at index {bad[0]} is {arr.flat[bad[0]]}, not a finite number")
     return arr
 
 
 def _json_complex(data) -> np.ndarray:
     """The complex array stored in the "re" and "im" fields of a JSON object."""
     # Checked before re + 1j * im, where an infinity would turn into nan.
-    re = _json_field(data, "re", _finite_float_array)
-    im = _json_field(data, "im", _finite_float_array)
+    re = _json_field(data, "re", _finite_array)
+    im = _json_field(data, "im", _finite_array)
     if re.shape != im.shape:
         raise ValueError(f"JSON fields 're' and 'im' differ in shape: {re.shape} and {im.shape}")
     return re + 1j * im
@@ -186,7 +186,7 @@ class DiagObservable:
         arities = _as_arities(self.arities)
         eig = _frozen_array(np.ravel(self.eigenvalues), float)
         _check_length("eigenvalue vector", eig.size, arities)
-        if not np.all(np.isfinite(eig)):
+        if not np.isfinite(eig).all():
             raise ValueError("eigenvalues must all be finite")
         object.__setattr__(self, "arities", arities)
         object.__setattr__(self, "eigenvalues", eig)
@@ -207,7 +207,7 @@ class DiagObservable:
     def isclose(self, other: "DiagObservable", tol: float = DEFAULT_TOL) -> bool:
         """Entrywise equality of eigenvalues within ``tol`` (same arities)."""
         return self.arities == other.arities and bool(
-            np.all(np.abs(self.eigenvalues - other.eigenvalues) <= tol)
+            (np.abs(self.eigenvalues - other.eigenvalues) <= tol).all()
         )
 
     def __eq__(self, other) -> bool:
@@ -279,7 +279,7 @@ class DenseMatrix:
         return self.dim == other.dim and np.array_equal(self.entries, other.entries)
 
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        return bool(np.all(np.abs(self.entries - self.entries.conj().T) <= tol))
+        return bool((np.abs(self.entries - self.entries.conj().T) <= tol).all())
 
     def to_json(self) -> dict:
         flat = self.entries.reshape(-1)
@@ -372,10 +372,10 @@ def classify(f: DiagObservable, tol: float = DEFAULT_TOL) -> ObservableClass:
     near_one = np.abs(eig - 1.0) <= tol
     near_minus_one = np.abs(eig + 1.0) <= tol
     return ObservableClass(
-        is_projector=bool(np.all(near_zero | near_one)),
-        is_isometry=bool(np.all(near_one | near_minus_one)),
-        is_identity=bool(np.all(near_one)),
-        is_zero=bool(np.all(near_zero)),
+        is_projector=bool((near_zero | near_one).all()),
+        is_isometry=bool((near_one | near_minus_one).all()),
+        is_identity=bool(near_one.all()),
+        is_zero=bool(near_zero.all()),
     )
 
 

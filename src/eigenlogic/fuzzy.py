@@ -20,6 +20,7 @@ from .core import (
     _as_arities,
     _capped_dimension,
     _check_length,
+    _finite_array,
     _json_complex,
     _json_field,
     classify,
@@ -57,7 +58,13 @@ class StateVector:
         arities = _as_arities(self.arities)
         amps = np.array(np.ravel(self.amplitudes), dtype=complex)
         _check_length("amplitude vector", amps.size, arities)
-        norm = float(np.linalg.norm(amps))
+        with np.errstate(over="ignore"):  # finite amplitudes can overflow the sum of squares
+            norm = float(np.linalg.norm(amps))
+        if not math.isfinite(norm):
+            _finite_array(amps, complex, "amplitude")
+            # An overflow: the state is out of band, but report its true norm.
+            peak = float(np.abs(amps.view(float)).max())
+            norm = peak * float(np.linalg.norm(amps / peak))
         if not (_NORM_FLOOR <= norm <= _NORM_CEILING):
             raise NormalizationError(
                 f"cannot normalize a state of norm {norm:.3e} "
@@ -97,6 +104,8 @@ class QubitAngles:
     def __post_init__(self):
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
 
 
 def qubit_state(angles: QubitAngles) -> StateVector:
@@ -151,7 +160,9 @@ def born_mean(state: StateVector, f: DiagObservable) -> float:
     this returns the eigenvalue at its index exactly.
     """
     _check_dims(state.dim, f.dim)
-    return float(np.sum(state.probabilities() * f.eigenvalues))
+    # np.sum without its Python wrapper: the same pairwise sum, so the same bits.
+    # A dot product would sum in another order.
+    return float(np.add.reduce(state.probabilities() * f.eigenvalues))
 
 
 def born_means(

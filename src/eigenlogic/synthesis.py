@@ -425,7 +425,8 @@ def connective_table(name: str) -> TruthTable:
     """Frozen two-argument truth table of a named binary connective ({0,1} values)."""
     if name not in BINARY_CONNECTIVE_OUTPUTS:
         raise KeyError(name)
-    return TruthTable(PROJECTIVE, 2, BINARY_CONNECTIVE_OUTPUTS[name])
+    # The 0/1 outputs are already PROJECTIVE's positions, so nothing needs snapping.
+    return TruthTable._from_positions(PROJECTIVE, 2, BINARY_CONNECTIVE_OUTPUTS[name])
 
 
 def binary_catalog(convention: str) -> dict[str, DiagObservable]:

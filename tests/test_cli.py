@@ -663,3 +663,25 @@ def test_membership_refuses_a_small_cap_by_element_count(capsys, monkeypatch):
     monkeypatch.setenv("EIGENLOGIC_DIM_CAP", "3")
     result = run(capsys, "fuzzy", "--connective=AND", f"--state={_BELL}")
     assert result == (1, "", "error: 4 elements exceed the cap of 3\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--p=0.5", "--q=0.5", "--phase-p=inf"], "error: phi must be finite, got inf\n"),
+        (["--p=0.5", "--q=0.5", "--phase-q=nan"], "error: phi must be finite, got nan\n"),
+        (
+            ["--p=0.5", "--q=0.5", "--phase-p=0.5", "--phase-q=-inf"],
+            "error: phi must be finite, got -inf\n",
+        ),
+        (
+            ['--state={"arities":[2,2],"re":[1e300,1e300,0,0],"im":[0,0,0,0]}'],
+            "error: cannot normalize a state of norm 1.414e+300 "
+            "(accepted range [1e-06, 1000000.0])\n",
+        ),
+    ],
+    ids=["phase-p-inf", "phase-q-nan", "phase-q-minus-inf", "overflowing-norm"],
+)
+def test_fuzzy_refuses_non_finite_phases_and_huge_states_by_name(capsys, argv, err):
+    assert run(capsys, "fuzzy", "--connective=AND", *argv) == (1, "", err)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from eigenlogic import (
     ClassificationError,
@@ -368,3 +368,77 @@ def test_within_bounds_is_the_bound_check_interval():
     mu = np.array([-2e-12, -1e-12, 0.0, 0.5, 1.0 + 1e-12, 1.0 + 3e-12, np.nan])
     assert within_bounds(mu).tolist() == [False, True, True, True, True, False, False]
     assert within_bounds(0.25) is True
+
+
+# Mixed arities, ternary included, and 2^12, where numpy's pairwise sum
+# splits into blocks.
+_BORN_ARITIES = st.one_of(
+    st.lists(st.sampled_from([2, 3]), min_size=1, max_size=6).map(tuple),
+    st.just((2,) * 12),
+)
+
+
+@given(_BORN_ARITIES, st.integers(0, 2 ** 32 - 1), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_born_mean_is_bit_identical_to_np_sum(arities, seed, projective):
+    rng = np.random.default_rng(seed)
+    dim = math.prod(arities)
+    state = StateVector(arities, rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    eig = rng.integers(0, 2, size=dim) if projective else rng.normal(scale=10, size=dim)
+    f = obs(arities, eig)
+    expected = float(np.sum(state.probabilities() * f.eigenvalues))
+    assert born_mean(state, f).hex() == expected.hex()
+
+
+@given(_BORN_ARITIES, st.integers(0, 2 ** 32 - 1), st.floats(-5, 5))
+@settings(max_examples=100, deadline=None)
+def test_in_band_amplitudes_are_divided_by_np_linalg_norm(arities, seed, log_scale):
+    rng = np.random.default_rng(seed)
+    dim = math.prod(arities)
+    amps = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * 10.0 ** log_scale
+    norm = np.linalg.norm(amps)
+    assume(1e-6 <= norm <= 1e6)
+    assert np.array_equal(StateVector(arities, amps).amplitudes, amps / norm)
+
+
+@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+def test_phi_must_be_finite(phi):
+    with pytest.raises(ValueError, match=f"^phi must be finite, got {phi}$"):
+        QubitAngles(1.0, phi)
+    with pytest.raises(ValueError, match=f"^phi must be finite, got {phi}$"):
+        qubit_from_probability(0.5, phi)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "amplitudes, text",
+    [
+        ([math.inf, 0], "amplitude at index 0 is (inf+0j)"),
+        ([0, 0, complex(1, math.nan), 0], "amplitude at index 2 is (1+nanj)"),
+        ([1, 0, 0, complex(-math.inf, 0)], "amplitude at index 3 is (-inf+0j)"),
+    ],
+)
+def test_non_finite_amplitudes_are_refused_by_index(amplitudes, text):
+    arities = (2,) * (len(amplitudes) // 2)
+    with pytest.raises(ValueError) as err:
+        StateVector(arities, amplitudes)
+    assert str(err.value) == text + ", not a finite number"
+
+
+# The sum of squares of these finite amplitudes overflows; the norm must not.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "amplitudes, norm",
+    [
+        ([1e300, 1e300, 0, 0], "1.414e+300"),
+        ([0, 3e200j, 0, 4e200], "5.000e+200"),
+        ([1.5e308, 1.5e308j], "inf"),
+    ],
+)
+def test_an_overflowing_norm_is_refused_with_its_size(amplitudes, norm):
+    arities = (2,) * (len(amplitudes) // 2)
+    with pytest.raises(NormalizationError) as err:
+        StateVector(arities, amplitudes)
+    assert str(err.value) == (
+        f"cannot normalize a state of norm {norm} (accepted range [1e-06, 1000000.0])"
+    )

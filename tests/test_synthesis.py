@@ -44,7 +44,7 @@ from eigenlogic import (
     to_projective,
     value_observable,
 )
-from eigenlogic.synthesis import CONNECTIVE_NAMES
+from eigenlogic.synthesis import BINARY_CONNECTIVE_OUTPUTS, CONNECTIVE_NAMES
 
 
 def obs(arities, values):
@@ -649,3 +649,20 @@ def test_read_table_rejects_negative_and_nan_tolerance(tol, text):
         read_table(seed_projector(), PROJECTIVE, tol)
     assert str(err.value) == f"tolerance must be non-negative, got {text}"
     assert not isinstance(err.value, NonMemberError)
+
+
+@pytest.mark.parametrize("name", sorted(BINARY_CONNECTIVE_OUTPUTS))
+def test_connective_table_equals_the_snapped_table(name):
+    table = connective_table(name)
+    snapped = TruthTable(PROJECTIVE, 2, BINARY_CONNECTIVE_OUTPUTS[name])
+    assert table == snapped
+    assert table.outputs == snapped.outputs
+    assert repr(table) == repr(snapped)
+    assert table.to_json() == snapped.to_json()
+    assert table.positions.dtype == np.uint8
+    assert not table.positions.flags.writeable
+
+
+def test_connective_table_rejects_an_unknown_name():
+    with pytest.raises(KeyError, match="MAYBE"):
+        connective_table("MAYBE")
