@@ -59,13 +59,13 @@ def _cmd_synth(args) -> int:
     if args.table_file is not None:
         if args.outputs is not None:
             raise _UsageError("give either --outputs or --table-file, not both")
-        if (args.alphabet, args.names) != (None, None):
-            raise _UsageError("--alphabet and --names apply to --outputs only")
+        if args.alphabet is not None:
+            raise _UsageError("--alphabet applies to --outputs only")
         table = TruthTable.from_text(Path(args.table_file).read_text())
     else:
         if args.outputs is None or args.alphabet is None:
             raise _UsageError("--outputs requires --alphabet (or use --table-file)")
-        alphabet = ValueAlphabet._from_text(args.alphabet, args.names)
+        alphabet = ValueAlphabet._from_text(args.alphabet)
         outputs = tuple(float(tok) for tok in args.outputs.split(","))
         table = TruthTable(alphabet, _arity_for(len(outputs), alphabet.size), outputs)
     _print_observable(synthesize(table), args.json)
@@ -86,7 +86,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    alphabet = ValueAlphabet._from_text(args.alphabet, args.names)
+    alphabet = ValueAlphabet._from_text(args.alphabet)
     variables = tuple(args.variables.split(",")) if args.variables else None
     node = fdsl.parse(args.formula)
     compiled = fdsl.compile(node, alphabet, arity=args.arity, variables=variables)
@@ -190,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = command("synth", help="build an observable from a truth table")
     synth.add_argument("--alphabet", help="comma-separated truth values, e.g. 0,1")
-    synth.add_argument("--names", help="comma-separated value labels, e.g. F,T")
     synth.add_argument("--outputs", help="comma-separated outputs in canonical order")
     synth.add_argument("--table-file", help="truth-table text file")
     synth.set_defaults(func=_cmd_synth)
@@ -217,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     comp.add_argument("--formula", required=True)
     comp.add_argument("--alphabet", default="0,1")
-    comp.add_argument("--names")
     comp.add_argument("--arity", type=int)
     comp.add_argument("--variables", help="explicit variable order, e.g. A,B,C")
     comp.set_defaults(func=_cmd_compile)

@@ -56,16 +56,18 @@ class StateVector:
 
     def __post_init__(self):
         arities = _as_arities(self.arities)
-        amps = np.array(np.ravel(self.amplitudes), dtype=complex)
+        amps = np.ravel(np.asarray(self.amplitudes, dtype=complex))
         _check_length("amplitude vector", amps.size, arities)
         with np.errstate(over="ignore"):  # finite amplitudes can overflow the sum of squares
             norm = float(np.linalg.norm(amps))
-        if not math.isfinite(norm):
+        if not _NORM_FLOOR <= norm <= _NORM_CEILING:  # also true for NaN
             _finite_array(amps, complex, "amplitude")
-            # An overflow: the state is out of band, but report its true norm.
-            peak = float(np.abs(amps.view(float)).max())
-            norm = peak * float(np.linalg.norm(amps / peak))
-        if not (_NORM_FLOOR <= norm <= _NORM_CEILING):
+            # Report the true norm of a sum of squares that over- or underflowed.
+            # Rescale the real parts: a complex division overflows on a subnormal.
+            parts = amps.view(float)
+            peak = float(np.abs(parts).max())
+            if peak:
+                norm = peak * float(np.linalg.norm(parts / peak))
             raise NormalizationError(
                 f"cannot normalize a state of norm {norm:.3e} "
                 f"(accepted range [{_NORM_FLOOR}, {_NORM_CEILING}])"
@@ -170,10 +172,9 @@ def born_means(
 ) -> np.ndarray:
     """Matrix of means: entry [i, j] is ``born_mean(states[i], observables[j])``.
 
-    Computed as one product of the |amplitude|^2 rows and the eigenvalue
-    rows, so it agrees with `born_mean` up to summation order.  Every state
-    and every observable must share one dimension; the first mismatching
-    pair in row-major order raises `DimensionMismatchError`.
+    Each entry equals `born_mean` bit for bit.  Every state and every
+    observable must share one dimension; the first mismatching pair in
+    row-major order raises `DimensionMismatchError`.
     """
     if not states or not observables:
         return np.zeros((len(states), len(observables)))
@@ -183,9 +184,9 @@ def born_means(
         _check_dims(states[0].dim, f.dim)
     for state in states:
         _check_dims(state.dim, observables[0].dim)
-    probabilities = np.abs(np.stack([state.amplitudes for state in states])) ** 2
-    eigenvalues = np.stack([f.eigenvalues for f in observables])
-    return probabilities @ eigenvalues.T
+    rows = np.stack([state.probabilities() for state in states])
+    # Row by row, the pairwise sum of `born_mean`; a matrix product sums in another order.
+    return np.stack([np.add.reduce(rows * f.eigenvalues, axis=1) for f in observables], axis=1)
 
 
 def within_bounds(mu):

@@ -423,7 +423,6 @@ _OPTIONS = {
     "synth": [
         [("--outputs", _NUMBER_LIST), ("--table-file", _PATHS)],
         [("--alphabet", _NUMBER_LIST)],
-        [("--names", _WORDS)],
         [("--json", None)],
     ],
     "table": [
@@ -436,7 +435,6 @@ _OPTIONS = {
     "compile": [
         [("--formula", _WORDS)],
         [("--alphabet", _NUMBER_LIST)],
-        [("--names", _WORDS)],
         [("--arity", _ARITY)],
         [("--variables", _WORDS)],
         [("--json", None)],
@@ -650,13 +648,30 @@ def test_an_empty_flag_counts_as_given(capsys, argv, code, err):
     assert run(capsys, *argv) == (code, "", err)
 
 
-@pytest.mark.parametrize("flag", ["--alphabet=0,1", "--names=F,T", "--names="])
+@pytest.mark.parametrize("flag", ["--alphabet=0,1"])
 def test_synth_table_file_refuses_alphabet_and_names(capsys, tmp_path, flag):
     path = tmp_path / "t.txt"
     path.write_text("alphabet: 0,1\narity: 1\n0 1\n")
     assert run(capsys, "synth", f"--table-file={path}", flag) == (
-        2, "", "usage error: --alphabet and --names apply to --outputs only\n"
+        2, "", "usage error: --alphabet applies to --outputs only\n"
     )
+
+
+# No output of `synth` or `compile` reads value names; only `table` takes them.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--alphabet=0,1", "--outputs=0,0,0,1", "--names=F,T"],
+        ["synth", "--table-file=no/such/file", "--names=F,T"],
+        ["compile", "--formula=A AND B", "--names=F,T"],
+        ["compile", "--formula=A AND B", "--names=F,T", "--json"],
+    ],
+    ids=["synth", "synth-table-file", "compile", "compile-json"],
+)
+def test_names_is_a_usage_error_outside_table(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --names=F,T\n")
 
 
 def test_membership_refuses_a_small_cap_by_element_count(capsys, monkeypatch):
@@ -665,7 +680,6 @@ def test_membership_refuses_a_small_cap_by_element_count(capsys, monkeypatch):
     assert result == (1, "", "error: 4 elements exceed the cap of 3\n")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv, err",
     [
@@ -680,8 +694,13 @@ def test_membership_refuses_a_small_cap_by_element_count(capsys, monkeypatch):
             "error: cannot normalize a state of norm 1.414e+300 "
             "(accepted range [1e-06, 1000000.0])\n",
         ),
+        (
+            ['--state={"arities":[2,2],"re":[1e-300,0,0,0],"im":[0,0,0,0]}'],
+            "error: cannot normalize a state of norm 1.000e-300 "
+            "(accepted range [1e-06, 1000000.0])\n",
+        ),
     ],
-    ids=["phase-p-inf", "phase-q-nan", "phase-q-minus-inf", "overflowing-norm"],
+    ids=["phase-p-inf", "phase-q-nan", "phase-q-minus-inf", "overflowing-norm", "underflowing-norm"],
 )
 def test_fuzzy_refuses_non_finite_phases_and_huge_states_by_name(capsys, argv, err):
     assert run(capsys, "fuzzy", "--connective=AND", *argv) == (1, "", err)
