@@ -477,13 +477,55 @@ def _command_argv(draw, command):
     return argv
 
 
-@given(_argv())
+# Malformed values of EIGENLOGIC_DIM_CAP and the one error line each must give.
+_MALFORMED_CAPS = {
+    "0": "error: EIGENLOGIC_DIM_CAP must be positive, got 0\n",
+    "-5": "error: EIGENLOGIC_DIM_CAP must be positive, got -5\n",
+    "abc": "error: EIGENLOGIC_DIM_CAP must be an integer, got 'abc'\n",
+    "": "error: EIGENLOGIC_DIM_CAP must be an integer, got ''\n",
+}
+# Valid caps stay small: no drawn cap may exceed 64.
+_CAPS = st.sampled_from(["1", "4", "64"] + sorted(_MALFORMED_CAPS))
+
+
+@given(_argv(), _CAPS)
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_random_argv_never_escapes(monkeypatch, argv):
-    monkeypatch.setenv("EIGENLOGIC_DIM_CAP", "64")
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+def test_random_argv_never_escapes(capsys, monkeypatch, argv, cap):
+    monkeypatch.setenv("EIGENLOGIC_DIM_CAP", cap)
+    code, _, err = run(capsys, *argv)
     assert code in (0, 1, 2)
+    if cap in _MALFORMED_CAPS and err != _MALFORMED_CAPS[cap]:
+        # A call that never read the cap ends as it does under any valid cap.
+        monkeypatch.setenv("EIGENLOGIC_DIM_CAP", "1")
+        again, _, err_again = run(capsys, *argv)
+        assert (again, err_again) == (code, err)
+    elif cap in _MALFORMED_CAPS:
+        assert code == 1
+
+
+@pytest.mark.parametrize("cap", sorted(_MALFORMED_CAPS))
+def test_a_malformed_cap_is_a_domain_error(capsys, monkeypatch, cap):
+    monkeypatch.setenv("EIGENLOGIC_DIM_CAP", cap)
+    assert run(capsys, "compile", "--formula=A AND B") == (1, "", _MALFORMED_CAPS[cap])
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 2.00 GiB for an array")
+
+
+# An allocation the machine cannot satisfy, under a cap raised past its memory,
+# is a domain error; numpy's own allocation error subclasses MemoryError.
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("synthesize", ["synth", "--alphabet=0,1", "--outputs=0,0,0,1"]),
+        ("fdsl.compile", ["compile", "--formula=A AND B"]),
+    ],
+    ids=["synth", "compile"],
+)
+def test_memory_error_is_a_domain_error(capsys, monkeypatch, target, argv):
+    monkeypatch.setattr(f"eigenlogic.cli.{target}", _out_of_memory)
+    assert run(capsys, *argv) == (1, "", "error: Unable to allocate 2.00 GiB for an array\n")
 
 
 # The most memory one argv of a subcommand may allocate at a cap of 64,

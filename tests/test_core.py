@@ -9,7 +9,6 @@ from eigenlogic import (
     CapacityError,
     DenseMatrix,
     DiagObservable,
-    ObservableClass,
     StateVector,
     TruthTable,
     ValueAlphabet,
@@ -24,6 +23,8 @@ from eigenlogic import (
     materialize,
 )
 from eigenlogic.core import check_power_capacity
+
+from class_values import NEAR_CLASS_VALUES, reference_classes
 
 
 def obs(arities, values):
@@ -414,33 +415,8 @@ def test_eigenvalues_must_be_finite_by_name(bad):
         obs((2, 2), [0, 1, bad, 0])
 
 
-def reference_classes(values, tol):
-    """`classify`, one eigenvalue at a time in plain Python."""
-    near_zero = [abs(v) <= tol for v in values]
-    near_one = [abs(v - 1.0) <= tol for v in values]
-    near_minus_one = [abs(v + 1.0) <= tol for v in values]
-    return ObservableClass(
-        is_projector=all(z or o for z, o in zip(near_zero, near_one)),
-        is_isometry=all(o or m for o, m in zip(near_one, near_minus_one)),
-        is_identity=all(near_one),
-        is_zero=all(near_zero),
-    )
-
-
-# Exact class values, values a hair away from them, and arbitrary ones.
-_NEAR_CLASS_VALUES = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
-    st.builds(
-        lambda v, d: v + d,
-        st.sampled_from([0.0, 1.0, -1.0]),
-        st.sampled_from([1e-13, -1e-13, 1e-12, -1e-12, 2e-12, 0.25, -0.5, 0.55, 1.0]),
-    ),
-    st.floats(-3, 3, allow_nan=False),
-)
-
-
 # Tolerances 0.5, 0.6 and 2.0 let one eigenvalue sit near two class values.
 @pytest.mark.parametrize("tol", [0.0, 1e-12, 0.5, 0.6, 2.0])
-@given(values=st.lists(_NEAR_CLASS_VALUES, min_size=2, max_size=9))
+@given(values=st.lists(NEAR_CLASS_VALUES, min_size=2, max_size=9))
 def test_classify_matches_a_per_entry_reference(tol, values):
     assert classify(obs((len(values),), values), tol) == reference_classes(values, tol)

@@ -18,6 +18,7 @@ from eigenlogic import (
     born_mean,
     born_means,
     bound_check,
+    classify,
     membership,
     product_state,
     qubit_from_probability,
@@ -25,6 +26,8 @@ from eigenlogic import (
 )
 from eigenlogic import synthesis
 from eigenlogic.fuzzy import within_bounds
+
+from class_values import NEAR_CLASS_VALUES
 
 SEED = 1729
 
@@ -232,6 +235,39 @@ class TestBoundCheck:
     def test_rejects_non_projective(self):
         with pytest.raises(ClassificationError):
             bound_check(basis_state((3,), 0), obs((3,), [1, 0, -1]))
+        # The class is checked before the state's dimension.
+        with pytest.raises(ClassificationError, match="^bound_check requires a projective observable$"):
+            bound_check(basis_state((2, 2), 0), obs((3,), [1, 0, -1]))
+
+
+# Values within `DEFAULT_TOL` of 0 or 1 and a hair beyond it: most such lists
+# are projectors, unlike most lists of `NEAR_CLASS_VALUES`.
+_NEAR_PROJECTOR_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0]),
+    st.builds(
+        lambda v, d: v + d,
+        st.sampled_from([0.0, 1.0]),
+        st.sampled_from([1e-13, -1e-13, 1e-12, -1e-12, 2e-12]),
+    ),
+)
+
+
+@given(
+    values=st.one_of(
+        st.lists(NEAR_CLASS_VALUES, min_size=2, max_size=9),
+        st.lists(_NEAR_PROJECTOR_VALUES, min_size=2, max_size=9),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bound_check_is_the_projector_class_then_the_bound(values, seed):
+    f = obs((len(values),), values)
+    rng = np.random.default_rng(seed)
+    state = StateVector(f.arities, rng.normal(size=f.dim) + 1j * rng.normal(size=f.dim))
+    if not classify(f).is_projector:
+        with pytest.raises(ClassificationError, match="^bound_check requires a projective observable$"):
+            bound_check(state, f)
+    else:
+        assert bound_check(state, f) is bool(within_bounds(born_mean(state, f)))
 
 
 class TestInvariances:
