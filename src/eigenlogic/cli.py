@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import formula as fdsl
-from .core import DiagObservable, _arity_for, _diag_text, _fmt, classify
+from .core import DEFAULT_TOL, DiagObservable, _arity_for, _diag_text, _fmt, classify
 from .errors import EigenlogicError
 from .fuzzy import StateVector, born_mean, membership, product_state, qubit_from_probability
 from .synthesis import (
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--observable-file", help="observable JSON file")
     table.add_argument("--alphabet", required=True)
     table.add_argument("--names")
-    table.add_argument("--tol", type=float, default=1e-12)
+    table.add_argument("--tol", type=float, default=DEFAULT_TOL)
     table.set_defaults(func=_cmd_table)
 
     comp = command(

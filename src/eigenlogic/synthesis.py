@@ -25,6 +25,7 @@ from .core import (
     _arity_for,
     _check_tolerance,
     _fmt,
+    _frozen_array,
     _json_field,
     _power_text,
     _whole_number,
@@ -50,6 +51,13 @@ from .errors import (
 MAX_POINT_MAGNITUDE = 10.0
 
 
+def _check_distinct(values: Sequence[float], what: str) -> None:
+    """Refuse the first pair of values within DEFAULT_TOL of each other."""
+    for i, j in itertools.combinations(range(len(values)), 2):
+        if abs(values[i] - values[j]) <= DEFAULT_TOL:
+            raise DuplicatePointError(f"{what} {values[i]} and {values[j]} coincide")
+
+
 @dataclass(frozen=True)
 class ValueAlphabet:
     """An ordered set of distinct real truth values, optionally labelled.
@@ -68,11 +76,7 @@ class ValueAlphabet:
             raise ValueError("an alphabet needs at least two values")
         if not all(np.isfinite(values)):
             raise ValueError("alphabet values must be finite")
-        for i, j in itertools.combinations(range(len(values)), 2):
-            if abs(values[i] - values[j]) <= DEFAULT_TOL:
-                raise DuplicatePointError(
-                    f"alphabet values {values[i]} and {values[j]} coincide"
-                )
+        _check_distinct(values, "alphabet values")
         names = self.names
         if names is not None:
             names = tuple(str(n) for n in names)
@@ -161,8 +165,7 @@ class TruthTable:
         return table
 
     def _set(self, alphabet: ValueAlphabet, arity: int, positions) -> None:
-        positions = np.array(positions, dtype=np.min_scalar_type(alphabet.size - 1))
-        positions.flags.writeable = False
+        positions = _frozen_array(positions, np.min_scalar_type(alphabet.size - 1))
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "positions", positions)
@@ -242,9 +245,7 @@ class BasisPolynomial:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.array(np.ravel(self.coefficients), dtype=float)
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients", _frozen_array(np.ravel(self.coefficients), float))
 
     def __call__(self, x):
         return npoly.polyval(x, self.coefficients)
@@ -269,9 +270,7 @@ def lagrange_basis(points: Sequence[float]) -> list[BasisPolynomial]:
             raise ValueError(
                 f"interpolation point {x} exceeds magnitude {MAX_POINT_MAGNITUDE}"
             )
-    for i, j in itertools.combinations(range(len(pts)), 2):
-        if abs(pts[i] - pts[j]) <= DEFAULT_TOL:
-            raise DuplicatePointError(f"points {pts[i]} and {pts[j]} coincide")
+    _check_distinct(pts, "points")
     basis = []
     for i, xi in enumerate(pts):
         coeffs = np.ones(1)

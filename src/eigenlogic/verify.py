@@ -55,8 +55,7 @@ class CheckResult:
 
 
 def _count(name: str, outcomes) -> CheckResult:
-    if not isinstance(outcomes, np.ndarray):
-        outcomes = np.fromiter(outcomes, dtype=bool)
+    outcomes = np.asarray(outcomes, dtype=bool)
     return CheckResult(name, int(np.count_nonzero(outcomes)), outcomes.size)
 
 
@@ -68,17 +67,17 @@ def suite_table1() -> list[CheckResult]:
     return [
         _count(
             "table1: algebraic formulas vs synthesized tables (projective)",
-            (projective[n].isclose(from_tables[n], TOL_EXACT) for n in CONNECTIVE_NAMES),
+            [projective[n].isclose(from_tables[n], TOL_EXACT) for n in CONNECTIVE_NAMES],
         ),
         _count(
             "table1: isometric formulas vs convention map of projective",
-            (isometric[n].isclose(to_isometric(from_tables[n]), TOL_EXACT) for n in CONNECTIVE_NAMES),
+            [isometric[n].isclose(to_isometric(from_tables[n]), TOL_EXACT) for n in CONNECTIVE_NAMES],
         ),
     ]
 
 
 def _close(a: np.ndarray, b: np.ndarray) -> list[bool]:
-    return [abs(x - y) <= TOL_EXACT for x, y in zip(a, b)]
+    return (np.abs(a - b) <= TOL_EXACT).tolist()
 
 
 def _entrywise(a: DiagObservable, b: DiagObservable) -> list[bool]:
@@ -211,8 +210,8 @@ def random_formula(
 _BOOLEAN_OPS = ("AND", "OR", "XOR", "NAND", "NOR", "EQUIV", "IMPL", "CIMPL")
 
 
-def formula_corpus(count: int, seed: int = VERIFY_SEED, max_depth: int = 4):
-    """Random formulas cycling over the three supported alphabet fragments."""
+def formula_corpus(count: int, seed: int = VERIFY_SEED):
+    """Random formulas of depth 1 to 4, cycling over the three alphabet fragments."""
     rng = np.random.default_rng(seed)
     fragments = (
         (PROJECTIVE, _BOOLEAN_OPS, True),
@@ -224,7 +223,7 @@ def formula_corpus(count: int, seed: int = VERIFY_SEED, max_depth: int = 4):
         alphabet, ops, allow_not = fragments[k % len(fragments)]
         arity = int(rng.integers(1, 4))
         names = ("A", "B", "C")[:arity]
-        depth = int(rng.integers(1, max_depth + 1))
+        depth = int(rng.integers(1, 5))
         corpus.append((random_formula(rng, names, ops, allow_not, depth), alphabet))
     return corpus
 

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from eigenlogic import DiagObservable, StateVector, TruthTable
-from eigenlogic.cli import main
+from eigenlogic import DEFAULT_TOL, DiagObservable, StateVector, TruthTable
+from eigenlogic.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -68,6 +68,9 @@ class TestSynth:
 
 
 class TestTable:
+    def test_tolerance_defaults_to_the_library_tolerance(self):
+        assert build_parser().parse_args(["table", "--alphabet", "0,1"]).tol == DEFAULT_TOL
+
     def test_reads_nand(self, capsys):
         observable = json.dumps({"arities": [2, 2], "eigenvalues": [1, 1, 1, 0]})
         code, out, _ = run(capsys, "table", "--observable", observable, "--alphabet", "0,1")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from eigenlogic import (
     ArityMismatchError,
+    BasisPolynomial,
     CapacityError,
     ClassificationError,
     ConventionError,
@@ -63,6 +64,12 @@ class TestValueAlphabet:
         with pytest.raises(DuplicatePointError):
             ValueAlphabet((0.0, 1.0, 1.0 + 1e-13))
 
+    def test_duplicate_names_the_first_coinciding_pair(self):
+        # Pairs are tried as (0, 1), (0, 2), (0, 3), (1, 2), ...: (0, 3) comes first.
+        with pytest.raises(DuplicatePointError) as err:
+            ValueAlphabet((0, 1, 1 + 1e-13, 0))
+        assert str(err.value) == "alphabet values 0.0 and 0.0 coincide"
+
     def test_names_must_parallel_values(self):
         with pytest.raises(ValueError):
             ValueAlphabet((0.0, 1.0), ("F",))
@@ -90,6 +97,25 @@ class TestTruthTable:
         with pytest.raises(NonMemberError) as err:
             TruthTable(PROJECTIVE, 1, (0.0, 0.5))
         assert err.value.index == 1
+
+    @pytest.mark.parametrize(
+        "make, source",
+        [
+            (lambda a: TruthTable(PROJECTIVE, 2, a), np.array([0.0, 1.0, 1.0, 0.0])),
+            (
+                lambda a: TruthTable._from_positions(PROJECTIVE, 2, a),
+                np.array([0, 1, 1, 0], dtype=np.uint8),
+            ),
+        ],
+        ids=["snapped", "from_positions"],
+    )
+    def test_neither_aliases_nor_freezes_the_callers_array(self, make, source):
+        t = make(source)
+        assert not t.positions.flags.writeable
+        assert not np.shares_memory(t.positions, source)
+        assert source.flags.writeable
+        source[0] = 1
+        assert t.positions.tolist() == [0, 1, 1, 0]
 
     def test_arity_zero(self):
         t = TruthTable(PROJECTIVE, 0, (1.0,))
@@ -269,9 +295,23 @@ class TestLagrangeBasis:
         with pytest.raises(DuplicatePointError):
             lagrange_basis((0.0, 1.0, 0.0))
 
+    def test_duplicate_names_the_first_coinciding_pair(self):
+        with pytest.raises(DuplicatePointError) as err:
+            lagrange_basis((0, 1, 0, 1))
+        assert str(err.value) == "points 0.0 and 0.0 coincide"
+
     def test_large_points_rejected(self):
         with pytest.raises(ValueError):
             lagrange_basis((0.0, 11.0))
+
+    def test_polynomial_neither_aliases_nor_freezes_the_callers_array(self):
+        coeffs = np.array([0.0, 1.0])
+        phi = BasisPolynomial(coeffs)
+        assert not phi.coefficients.flags.writeable
+        assert not np.shares_memory(phi.coefficients, coeffs)
+        assert coeffs.flags.writeable
+        coeffs[1] = 2.0
+        assert phi.coefficients.tolist() == [0.0, 1.0]
 
     def test_partition_of_unity_random_sets(self):
         rng = np.random.default_rng(1729)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,31 @@ verify all: PASS (18332 checks)
 def test_verify_all_golden_output(capsys):
     assert main(["verify", "all"]) == 0
     assert capsys.readouterr().out == VERIFY_ALL_STDOUT
+
+
+def test_one_entry_off_fails_its_check_and_exits_1(monkeypatch, capsys):
+    real = verify.minmax_interpolation_route
+
+    def one_min_entry_off(name):
+        observable = real(name)
+        if name != "MIN":
+            return observable
+        eigenvalues = observable.eigenvalues.copy()
+        eigenvalues[4] += 1e-9
+        return DiagObservable(observable.arities, eigenvalues)
+
+    monkeypatch.setattr(verify, "minmax_interpolation_route", one_min_entry_off)
+    assert main(["verify", "minmax"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "minmax: interpolation route vs maps       17/18 FAIL"
+    assert lines[-1] == "verify minmax: FAIL (71 checks)"
+
+    assert main(["verify", "minmax", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert [(s["name"], s["passed"], s["total"]) for s in report["suites"]] == [
+        ("minmax", 70, 71)
+    ]
 
 
 def _capture_born_means(monkeypatch):
