@@ -242,7 +242,9 @@ class DiagObservable:
     def __pow__(self, exponent: int) -> "DiagObservable":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only non-negative integer powers are defined")
-        return DiagObservable(self.arities, self.eigenvalues ** exponent)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the finite check
+            eig = self.eigenvalues ** exponent
+        return DiagObservable(self.arities, eig)
 
     def to_json(self) -> dict:
         return {
@@ -317,7 +319,10 @@ class ObservableClass:
 def kron(a: DiagObservable, b: DiagObservable) -> DiagObservable:
     """Kronecker product; arities concatenate, eigenvalues multiply pairwise."""
     check_capacity(a.dim * b.dim)
-    return DiagObservable(a.arities + b.arities, np.kron(a.eigenvalues, b.eigenvalues))
+    # On 1-D real vectors this is np.kron's products in its order, without its reshaping.
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the finite check
+        eig = np.multiply.outer(a.eigenvalues, b.eigenvalues).ravel()
+    return DiagObservable(a.arities + b.arities, eig)
 
 
 def compose_entrywise(a: DiagObservable, b: DiagObservable) -> DiagObservable:
@@ -326,7 +331,9 @@ def compose_entrywise(a: DiagObservable, b: DiagObservable) -> DiagObservable:
         raise ArityMismatchError(
             f"cannot compose observables with arities {a.arities} and {b.arities}"
         )
-    return DiagObservable(a.arities, a.eigenvalues * b.eigenvalues)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the finite check
+        eig = a.eigenvalues * b.eigenvalues
+    return DiagObservable(a.arities, eig)
 
 
 def add(a: DiagObservable, b: DiagObservable) -> DiagObservable:
@@ -335,12 +342,16 @@ def add(a: DiagObservable, b: DiagObservable) -> DiagObservable:
         raise ArityMismatchError(
             f"cannot add observables with arities {a.arities} and {b.arities}"
         )
-    return DiagObservable(a.arities, a.eigenvalues + b.eigenvalues)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the finite check
+        eig = a.eigenvalues + b.eigenvalues
+    return DiagObservable(a.arities, eig)
 
 
 def affine(a: float, b: float, f: DiagObservable) -> DiagObservable:
     """The observable a*I + b*F; covers negation and convention changes."""
-    return DiagObservable(f.arities, a + b * f.eigenvalues)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the finite check
+        eig = a + b * f.eigenvalues
+    return DiagObservable(f.arities, eig)
 
 
 def apply_pointwise(poly, f: DiagObservable) -> DiagObservable:
@@ -350,7 +361,9 @@ def apply_pointwise(poly, f: DiagObservable) -> DiagObservable:
     with such a ``coefficients`` attribute.
     """
     coeffs = np.asarray(getattr(poly, "coefficients", poly), dtype=float)
-    return DiagObservable(f.arities, npoly.polyval(f.eigenvalues, coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the finite check
+        eig = npoly.polyval(f.eigenvalues, coeffs)
+    return DiagObservable(f.arities, eig)
 
 
 def materialize(f: DiagObservable) -> DenseMatrix:

@@ -1,26 +1,34 @@
+import functools
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from eigenlogic import (
     ArityMismatchError,
     CapacityError,
     DenseMatrix,
     DiagObservable,
+    PROJECTIVE,
     StateVector,
+    TERNARY,
     TruthTable,
     ValueAlphabet,
     add,
     affine,
     apply_pointwise,
     classify,
+    compile_formula,
     compose_entrywise,
+    dictator,
     dimension_cap,
     kron,
     kron_all,
     materialize,
+    parse,
+    synthesize,
 )
 from eigenlogic.core import check_power_capacity
 
@@ -420,3 +428,99 @@ def test_eigenvalues_must_be_finite_by_name(bad):
 @given(values=st.lists(NEAR_CLASS_VALUES, min_size=2, max_size=9))
 def test_classify_matches_a_per_entry_reference(tol, values):
     assert classify(obs((len(values),), values), tol) == reference_classes(values, tol)
+
+
+# --- Overflow, the Kronecker kernel and result buffers ------------------------
+
+HUGE = obs((2,), [1e200, 1.0])
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: kron(HUGE, HUGE),
+        lambda: compose_entrywise(HUGE, HUGE),
+        lambda: add(obs((2,), [1.7e308, 1.0]), obs((2,), [1.7e308, 1.0])),
+        lambda: affine(0.0, 1e200, HUGE),
+        lambda: HUGE ** 2,
+        lambda: apply_pointwise([0.0, 0.0, 1.0], HUGE),
+    ],
+    ids=["kron", "compose_entrywise", "add", "affine", "pow", "apply_pointwise"],
+)
+def test_overflow_is_the_finite_error_without_a_numpy_warning(op):
+    # Tier-1 turns any RuntimeWarning into an error, so a warning would surface here.
+    with pytest.raises(ValueError, match="^eigenvalues must all be finite$"):
+        op()
+
+
+KRON_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def product_observables(draw):
+    """An observable over 1-3 factors of 2-4 values each."""
+    arities = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=3)))
+    size = math.prod(arities)
+    return obs(arities, draw(st.lists(KRON_VALUES, min_size=size, max_size=size)))
+
+
+def _np_kron_chain(factors):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return functools.reduce(np.kron, [f.eigenvalues for f in factors], np.ones(1))
+
+
+@given(product_observables(), product_observables())
+def test_kron_bytes_equal_np_kron(a, b):
+    expected = _np_kron_chain([a, b])
+    if not np.isfinite(expected).all():
+        with pytest.raises(ValueError, match="^eigenvalues must all be finite$"):
+            kron(a, b)
+        return
+    k = kron(a, b)
+    assert k.arities == a.arities + b.arities
+    assert k.eigenvalues.tobytes() == expected.tobytes()
+
+
+@given(st.lists(product_observables(), max_size=3))
+@example([])
+def test_kron_all_bytes_equal_an_np_kron_chain(factors):
+    expected = _np_kron_chain(factors)
+    if not np.isfinite(expected).all():
+        with pytest.raises(ValueError, match="^eigenvalues must all be finite$"):
+            kron_all(factors)
+        return
+    k = kron_all(factors)
+    assert k.arities == sum((f.arities for f in factors), ())
+    assert k.eigenvalues.tobytes() == expected.tobytes()
+
+
+def test_results_are_read_only_and_share_no_memory_with_inputs():
+    a = obs((2, 3), [0.5, -1, 2, 0, 3, -0.0])
+    b = obs((2, 3), [1, 2, 3, 4, 5, 6])
+    coefficients = np.array([1.0, -2.0, 0.5])
+    table = TruthTable(TERNARY, 2, (1, 0, -1, 0, 0, -1, -1, -1, -1))
+    formula = parse("A AND NOT B")
+    # Each result with the input arrays it was built from.
+    cases = [
+        (kron(a, b), [a.eigenvalues, b.eigenvalues]),
+        (add(a, b), [a.eigenvalues, b.eigenvalues]),
+        (affine(1.0, -2.0, a), [a.eigenvalues]),
+        (compose_entrywise(a, b), [a.eigenvalues, b.eigenvalues]),
+        (a ** 1, [a.eigenvalues]),
+        (apply_pointwise(coefficients, a), [a.eigenvalues, coefficients]),
+        (synthesize(table), [table.positions]),
+    ]
+    # dictator and compile build from no array of the caller: two calls must not share one.
+    for build in (
+        lambda: dictator(1, 3, TERNARY),
+        lambda: compile_formula(formula, PROJECTIVE).observable,
+    ):
+        first = build()
+        cases.append((build(), [first.eigenvalues]))
+    for result, inputs in cases:
+        assert not result.eigenvalues.flags.writeable
+        for arr in inputs:
+            assert not np.shares_memory(result.eigenvalues, arr)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -269,6 +270,18 @@ class TestDictator:
     def test_position_out_of_range(self):
         with pytest.raises(ValueError):
             dictator(2, 2, PROJECTIVE)
+
+    @pytest.mark.parametrize("alphabet", [PROJECTIVE, ISOMETRIC, TERNARY])
+    def test_bytes_equal_a_plain_np_kron_chain(self, alphabet):
+        ones = np.ones(alphabet.size)
+        values = np.array(alphabet.values)
+        for arity in range(1, 7):
+            for position in range(arity):
+                factors = [values if i == position else ones for i in range(arity)]
+                expected = functools.reduce(np.kron, factors)
+                got = dictator(position, arity, alphabet)
+                assert got.arities == (alphabet.size,) * arity
+                assert got.eigenvalues.tobytes() == expected.tobytes()
 
 
 class TestLagrangeBasis:
