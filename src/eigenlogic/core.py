@@ -317,12 +317,22 @@ class ObservableClass:
 
 
 def kron(a: DiagObservable, b: DiagObservable) -> DiagObservable:
-    """Kronecker product; arities concatenate, eigenvalues multiply pairwise."""
+    """Kronecker product; arities concatenate, eigenvalues multiply pairwise.
+
+    The result owns its fresh product, read-only, with no copy: both inputs
+    are valid, so only the finiteness of the products needs a check.
+    """
     check_capacity(a.dim * b.dim)
     # On 1-D real vectors this is np.kron's products in its order, without its reshaping.
     with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the finite check
-        eig = np.multiply.outer(a.eigenvalues, b.eigenvalues).ravel()
-    return DiagObservable(a.arities + b.arities, eig)
+        product = np.multiply.outer(a.eigenvalues, b.eigenvalues)
+    if not np.isfinite(product).all():
+        raise ValueError("eigenvalues must all be finite")
+    product.flags.writeable = False  # so the flat view below is read-only too
+    result = DiagObservable.__new__(DiagObservable)
+    object.__setattr__(result, "arities", a.arities + b.arities)
+    object.__setattr__(result, "eigenvalues", product.ravel())
+    return result
 
 
 def compose_entrywise(a: DiagObservable, b: DiagObservable) -> DiagObservable:
@@ -393,7 +403,11 @@ def classify(f: DiagObservable, tol: float = DEFAULT_TOL) -> ObservableClass:
 
 
 def kron_all(factors: Sequence[DiagObservable]) -> DiagObservable:
-    """Left-to-right Kronecker product of a sequence of observables."""
+    """Left-to-right Kronecker product of a sequence of observables.
+
+    The order is part of the result: with general floats, (a*b)*c and
+    a*(b*c) can differ in the last bit.
+    """
     result = DiagObservable((), np.ones(1))
     for f in factors:
         result = kron(result, f)

@@ -8,7 +8,6 @@ weighted sum of eigenvalues, never via dense matrix products.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -144,7 +143,11 @@ def product_state(parts: Sequence[StateVector]) -> StateVector:
         return parts[0]
     arities = tuple(m for part in parts for m in part.arities)
     _capped_dimension(arities)
-    return StateVector(arities, functools.reduce(np.kron, [part.amplitudes for part in parts]))
+    # np.kron's products in its order, without its reshaping.
+    amplitudes = parts[0].amplitudes
+    for part in parts[1:]:
+        amplitudes = np.multiply.outer(amplitudes, part.amplitudes).ravel()
+    return StateVector(arities, amplitudes)
 
 
 def _check_dims(state_dim: int, observable_dim: int) -> None:

@@ -377,15 +377,22 @@ def to_projective(g: DiagObservable, tol: float = DEFAULT_TOL) -> DiagObservable
 def dictator(position: int, arity: int, alphabet: ValueAlphabet) -> DiagObservable:
     """Connective whose output copies the argument at ``position``.
 
-    Built as identity factors with the value observable in one slot.
+    Built as identity factors with the value observable in one slot, folded
+    from the right: each `kron` puts one short factor in front of the long
+    product, so its outer product runs long inner loops.  Every factor but
+    one is all ones, so each product is exact and the bytes equal
+    `kron_all`'s left fold.
     """
     arity = _whole_number(arity)
     if not 0 <= position < arity:
         raise ValueError(f"position {position} out of range for arity {arity}")
     check_power_capacity(alphabet.size, arity)
     factors = [DiagObservable((alphabet.size,), np.ones(alphabet.size))] * arity
-    factors[position] = value_observable(alphabet)
-    return kron_all(factors)
+    factors[position] = value_observable(alphabet)  # a non-integral position raises TypeError
+    result = DiagObservable((), np.ones(1))
+    for factor in reversed(factors):
+        result = kron(factor, result)
+    return result
 
 
 # ---------------------------------------------------------------------------

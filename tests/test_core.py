@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,22 @@ class TestKron:
             right = kron(a, kron(b, c))
             assert left.arities == right.arities
             assert np.array_equal(left.eigenvalues, right.eigenvalues)
+
+    # The result keeps kron's own product; the finiteness mask is an eighth
+    # of it.  Copying the product into the result held over 2x.
+    @pytest.mark.parametrize("long_first", [True, False], ids=["long-short", "short-long"])
+    def test_peak_memory_stays_under_one_and_a_half_results(self, long_first):
+        long = obs((3,) * 9, np.linspace(-1.0, 1.0, 3 ** 9))
+        short = obs((3,), [1, 0, -1])
+        pair = (long, short) if long_first else (short, long)
+        kron(*pair)  # leave first-call allocations out of the peak
+        tracemalloc.start()
+        try:
+            result_bytes = kron(*pair).eigenvalues.nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * result_bytes
 
 
 class TestComposeEntrywise:

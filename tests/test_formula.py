@@ -17,6 +17,7 @@ from eigenlogic import (
     binary_catalog,
     dictator,
     min_observable,
+    to_isometric,
 )
 from eigenlogic import formula as formula_module
 from eigenlogic.formula import (
@@ -516,3 +517,65 @@ def test_compile_finds_variables_in_its_one_counting_walk(monkeypatch, arity, va
     for eig, digits in zip(compiled.observable.eigenvalues, inputs):
         assert eig == eval_classical(node, digits, TERNARY, variables)
     assert calls  # the oracle keeps its own walk
+
+
+# The paper's exact relations between compiled observables, whatever the
+# compile mechanism, checked over the verify corpus.  Each catches a planted
+# bug: a dictator folded with its operands swapped (variable order, unused
+# argument), NOT as 1 - x (isometric), MIN and MAX swapped (isometric), and
+# MAX taken as the numeric maximum like MIN (duality).  A clean MIN/MAX swap
+# leaves the duality true, so the isometric relation maps MIN and MAX onto
+# AND and OR to pin them.
+CORPUS = formula_corpus(1200)
+
+
+def _replace_ops(node, mapping):
+    if isinstance(node, Var):
+        return node
+    if isinstance(node, Not):
+        return Not(_replace_ops(node.child, mapping))
+    op = mapping.get(node.op, node.op)
+    return BinOp(op, _replace_ops(node.left, mapping), _replace_ops(node.right, mapping))
+
+
+def _eigenvalues(node, alphabet, **options):
+    return compile(node, alphabet, **options).observable.eigenvalues
+
+
+def test_isometric_is_one_minus_twice_projective():
+    # On the two values +1 (false) and -1 (true), MIN is AND and MAX is OR.
+    for node, alphabet in CORPUS:
+        if alphabet.size == 2:
+            boolean = _replace_ops(node, {"MIN": "AND", "MAX": "OR"})
+            expected = to_isometric(compile(boolean, PROJECTIVE).observable)
+            assert compile(node, ISOMETRIC).observable.arities == expected.arities
+            assert _eigenvalues(node, ISOMETRIC).tobytes() == expected.eigenvalues.tobytes()
+
+
+def test_variable_order_is_axis_order():
+    for node, alphabet in CORPUS:
+        order = sorted(variables_of(node))
+        tensor = _eigenvalues(node, alphabet).reshape((alphabet.size,) * len(order))
+        for axes in itertools.permutations(range(len(order))):
+            names = [order[axis] for axis in axes]
+            expected = tensor.transpose(axes).ravel()
+            assert _eigenvalues(node, alphabet, variables=names).tobytes() == expected.tobytes()
+
+
+def test_an_unused_last_argument_repeats_each_eigenvalue():
+    for node, alphabet in CORPUS:
+        arity = len(variables_of(node))
+        expected = np.repeat(_eigenvalues(node, alphabet), alphabet.size)
+        assert _eigenvalues(node, alphabet, arity=arity + 1).tobytes() == expected.tobytes()
+
+
+def test_min_max_duality_on_the_ternary_alphabet():
+    # Swapping MIN and MAX negates the values and reverses every axis.
+    # Negation turns 0.0 into -0.0, so values are compared, not bytes.
+    for node, alphabet in CORPUS:
+        if alphabet is TERNARY:
+            arity = len(variables_of(node))
+            tensor = _eigenvalues(node, TERNARY).reshape((3,) * arity)
+            expected = -tensor[(slice(None, None, -1),) * arity].ravel()
+            dual = _replace_ops(node, {"MIN": "MAX", "MAX": "MIN"})
+            assert np.array_equal(_eigenvalues(dual, TERNARY), expected)

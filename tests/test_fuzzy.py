@@ -1,4 +1,6 @@
+import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from eigenlogic import (
     qubit_from_probability,
     qubit_state,
 )
-from eigenlogic import synthesis
+from eigenlogic import fuzzy, synthesis
 from eigenlogic.fuzzy import within_bounds
 
 from class_values import NEAR_CLASS_VALUES
@@ -126,6 +128,37 @@ class TestProductState:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             product_state([])
+
+
+# Real and imaginary parts with signed zeros, subnormals and magnitudes whose
+# products overflow.
+AMPLITUDE_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def complex_vectors(draw):
+    size = draw(st.integers(2, 4))
+    parts = st.lists(AMPLITUDE_PARTS, min_size=size, max_size=size)
+    # complex(re, im) keeps the sign of a zero part; re + 1j * im would not.
+    return np.array([complex(r, i) for r, i in zip(draw(parts), draw(parts))])
+
+
+@given(st.lists(complex_vectors(), min_size=2, max_size=3))
+def test_product_state_multiplies_amplitudes_like_an_np_kron_chain(vectors):
+    # The raw product, caught before StateVector normalizes it, so that
+    # values no normalized state holds reach the kernel too.
+    parts = [SimpleNamespace(arities=(v.size,), amplitudes=v) for v in vectors]
+    caught = []
+    with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+        patch.setattr(fuzzy, "StateVector", lambda arities, amps: caught.append((arities, amps)))
+        product_state(parts)
+        expected = functools.reduce(np.kron, vectors)
+    [(arities, amplitudes)] = caught
+    assert arities == tuple(v.size for v in vectors)
+    assert amplitudes.tobytes() == expected.tobytes()
 
 
 class TestBornMean:

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,48 @@ class TestDictator:
                 got = dictator(position, arity, alphabet)
                 assert got.arities == (alphabet.size,) * arity
                 assert got.eigenvalues.tobytes() == expected.tobytes()
+
+    # At the default cap, with the value observable first, in the middle and last.
+    @pytest.mark.parametrize(
+        "alphabet, arity", [(TERNARY, 10), (PROJECTIVE, 15), (ISOMETRIC, 15)]
+    )
+    def test_wide_bytes_equal_a_plain_np_kron_chain(self, alphabet, arity):
+        ones = np.ones(alphabet.size)
+        values = np.array(alphabet.values)
+        for position in (0, arity // 2, arity - 1):
+            factors = [values if i == position else ones for i in range(arity)]
+            expected = functools.reduce(np.kron, factors)
+            got = dictator(position, arity, alphabet)
+            assert got.arities == (alphabet.size,) * arity
+            assert got.eigenvalues.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "position, error, message",
+        [
+            (1.5, TypeError, "list indices must be integers or slices, not float"),
+            (1.0, TypeError, "list indices must be integers or slices, not float"),
+            (-1, ValueError, "position -1 out of range for arity 3"),
+            (3, ValueError, "position 3 out of range for arity 3"),
+        ],
+    )
+    def test_position_errors(self, position, error, message):
+        with pytest.raises(error) as err:
+            dictator(position, 3, TERNARY)
+        assert str(err.value) == message
+
+    # The last product holds the output, the product before it and the
+    # finiteness mask: under 2x the output.  Copying each product held 2.5x.
+    @pytest.mark.parametrize("alphabet, arity", [(TERNARY, 10), (PROJECTIVE, 15)])
+    def test_peak_memory_stays_under_twice_the_output(self, alphabet, arity):
+        dictator(0, 2, alphabet)  # leave first-call allocations out of the peak
+        tracemalloc.start()
+        try:
+            for position in (0, arity // 2, arity - 1):
+                tracemalloc.reset_peak()
+                output_bytes = dictator(position, arity, alphabet).eigenvalues.nbytes
+                assert tracemalloc.get_traced_memory()[1] <= 2.0 * output_bytes
+        finally:
+            tracemalloc.stop()
 
 
 class TestLagrangeBasis:
