@@ -120,6 +120,8 @@ def _as_arities(arities: Iterable[int]) -> tuple[int, ...]:
 def _check_tolerance(tol: float) -> None:
     if not tol >= 0:  # also rejects NaN
         raise ValueError(f"tolerance must be non-negative, got {tol}")
+    if tol > 1.7976931348623157e308:  # beyond the largest float, so infinite
+        raise ValueError(f"tolerance must be finite, got {tol}")
 
 
 def _fmt(value: float) -> str:
@@ -206,6 +208,7 @@ class DiagObservable:
 
     def isclose(self, other: "DiagObservable", tol: float = DEFAULT_TOL) -> bool:
         """Entrywise equality of eigenvalues within ``tol`` (same arities)."""
+        _check_tolerance(tol)
         return self.arities == other.arities and bool(
             (np.abs(self.eigenvalues - other.eigenvalues) <= tol).all()
         )
@@ -281,6 +284,7 @@ class DenseMatrix:
         return self.dim == other.dim and np.array_equal(self.entries, other.entries)
 
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
+        _check_tolerance(tol)
         return bool((np.abs(self.entries - self.entries.conj().T) <= tol).all())
 
     def to_json(self) -> dict:

@@ -317,10 +317,19 @@ def canonical_projectors(alphabet: ValueAlphabet, arity: int) -> list[DiagObserv
 
 
 def synthesize(table: TruthTable) -> DiagObservable:
-    """Observable whose eigenvalue vector is the table's output column."""
+    """Observable whose eigenvalue vector is the table's output column.
+
+    The result owns its fresh lookup of the alphabet values, read-only, with
+    no copy and no second check: the values are finite and the positions
+    fill the table.
+    """
     check_capacity(table.positions.size)
-    arities = (table.alphabet.size,) * table.arity
-    return DiagObservable(arities, np.take(table.alphabet.values, table.positions))
+    eig = np.array(table.alphabet.values).take(table.positions)
+    eig.flags.writeable = False
+    result = DiagObservable.__new__(DiagObservable)
+    object.__setattr__(result, "arities", (table.alphabet.size,) * table.arity)
+    object.__setattr__(result, "eigenvalues", eig)
+    return result
 
 
 def synthesize_by_projectors(table: TruthTable) -> DiagObservable:

@@ -20,6 +20,7 @@ from eigenlogic import (
     materialize,
     product_state,
     qubit_from_probability,
+    synthesize,
     synthesize_by_projectors,
 )
 
@@ -30,6 +31,7 @@ ALLOCATION_BOUND = 4 * CAP * 16
 
 SIX_BITS = DiagObservable((2,) * 6, np.arange(64.0))  # dim 64, dim**2 = 4096 entries
 TABLE_SIX_BITS = TruthTable(PROJECTIVE, 6, (0.0,) * 64)
+TABLE_TEN_BITS = TruthTable(PROJECTIVE, 10, (0.0,) * 1024)
 QUBIT = qubit_from_probability(0.3)
 
 # Each call asks for more than CAP elements: ten binary arguments give dim
@@ -40,6 +42,7 @@ CALLS = {
     "basis_state": lambda: basis_state((2,) * 10, 0),
     "materialize": lambda: materialize(SIX_BITS),
     "canonical_projectors": lambda: canonical_projectors(PROJECTIVE, 6),
+    "synthesize": lambda: synthesize(TABLE_TEN_BITS),
     "synthesize_by_projectors": lambda: synthesize_by_projectors(TABLE_SIX_BITS),
     "enumerate_tables": lambda: next(enumerate_tables(PROJECTIVE, 10)),
     "dictator": lambda: dictator(0, 10, PROJECTIVE),

@@ -624,6 +624,14 @@ def test_table_refuses_negative_and_nan_tolerance(capsys, tol, text):
     assert result == (1, "", f"error: tolerance must be non-negative, got {text}\n")
 
 
+# 1e400 parses to inf; an infinite tolerance printed "0 0" and exited 0.
+@pytest.mark.parametrize("tol", ["inf", "1e400"])
+def test_table_refuses_an_infinite_tolerance(capsys, tol):
+    observable = '{"arities":[2],"eigenvalues":[0,1]}'
+    result = run(capsys, "table", "--observable", observable, "--alphabet", "0,1", "--tol", tol)
+    assert result == (1, "", "error: tolerance must be finite, got inf\n")
+
+
 _BELL = '{"arities": [2, 2], "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}'
 
 

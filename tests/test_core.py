@@ -29,7 +29,9 @@ from eigenlogic import (
     kron_all,
     materialize,
     parse,
+    read_table,
     synthesize,
+    to_isometric,
 )
 from eigenlogic.core import check_power_capacity
 
@@ -432,6 +434,46 @@ def test_classify_rejects_negative_and_nan_tolerance(tol, text):
     with pytest.raises(ValueError) as err:
         classify(PI, tol=tol)
     assert str(err.value) == f"tolerance must be non-negative, got {text}"
+
+
+# An infinite tolerance made classify report all four classes at once,
+# isclose hold any two observables of equal arities equal, read_table return
+# (0.0, 0.0) and to_isometric turn [0.3, 5.0] into [0.4, -9.0].
+TOLERANCE_CALLS = {
+    "classify": lambda tol: classify(PI, tol),
+    "isclose": lambda tol: PI.isclose(Z, tol),
+    "is_hermitian": lambda tol: materialize(PI).is_hermitian(tol),
+    "read_table": lambda tol: read_table(PI, PROJECTIVE, tol),
+    "to_isometric": lambda tol: to_isometric(obs((2,), [0.3, 5.0]), tol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOLERANCE_CALLS))
+@pytest.mark.parametrize(
+    "tol, message",
+    [
+        (-1.0, "tolerance must be non-negative, got -1.0"),
+        (math.nan, "tolerance must be non-negative, got nan"),
+        (-math.inf, "tolerance must be non-negative, got -inf"),
+        (math.inf, "tolerance must be finite, got inf"),
+        (np.float64(math.inf), "tolerance must be finite, got inf"),
+    ],
+)
+def test_tolerance_arguments_are_checked(name, tol, message):
+    with pytest.raises(ValueError) as err:
+        TOLERANCE_CALLS[name](tol)
+    assert str(err.value) == message
+    assert type(err.value) is ValueError  # refused before any value is blamed
+
+
+def test_large_finite_tolerances_still_hold():
+    assert classify(PI, tol=1e300).labels() == ("projector", "isometry", "identity", "zero")
+    assert not PI.isclose(Z, 1.0) and PI.isclose(Z, 2.0) and PI.isclose(Z, 1e308)
+    assert PI.isclose(PI, 0.0) and not PI.isclose(Z, 0.0)
+    assert not PI.isclose(obs((3,), [0, 1, 0]), 1e308)  # arities still differ
+    skew = DenseMatrix(2, [[0, 1j], [1j, 0]])
+    assert not skew.is_hermitian(0.0) and not skew.is_hermitian(1.9)
+    assert skew.is_hermitian(2.0) and materialize(PI).is_hermitian(0.0)
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eigenlogic import (
     ArityMismatchError,
@@ -520,6 +520,47 @@ def test_projector_route_matches_eigenvalue_route(table):
 
 def test_value_observable_copies_alphabet():
     assert value_observable(QUATERNARY) == obs((4,), [0, 1, 2, 3])
+
+
+# --- synthesize keeps its own lookup, unchecked ---------------------------------
+
+SIGNED_ZERO = ValueAlphabet((-0.0, 1.0, 2.5))
+
+
+@st.composite
+def wide_truth_tables(draw):
+    alphabet = draw(st.sampled_from([PROJECTIVE, ISOMETRIC, TERNARY, SIGNED_ZERO]))
+    arity = draw(st.integers(min_value=0, max_value=4))
+    count = alphabet.size ** arity
+    idx = draw(st.lists(st.integers(0, alphabet.size - 1), min_size=count, max_size=count))
+    return TruthTable(alphabet, arity, tuple(alphabet.values[i] for i in idx))
+
+
+@given(wide_truth_tables())
+@example(TruthTable(SIGNED_ZERO, 1, (2.5, -0.0, 1.0)))
+@settings(max_examples=200, deadline=None)
+def test_synthesize_bytes_equal_the_checked_constructor(table):
+    expected = DiagObservable(
+        (table.alphabet.size,) * table.arity, np.take(table.alphabet.values, table.positions)
+    )
+    got = synthesize(table)
+    assert type(got) is DiagObservable
+    assert got.arities == expected.arities
+    assert all(type(m) is int for m in got.arities)
+    assert got.eigenvalues.dtype == expected.eigenvalues.dtype
+    assert got.eigenvalues.shape == expected.eigenvalues.shape
+    assert got.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
+
+
+def test_synthesized_eigenvalues_are_read_only_and_unshared():
+    table = connective_table("AND")
+    first, second = synthesize(table), synthesize(table)
+    assert not first.eigenvalues.flags.writeable
+    with pytest.raises(ValueError):
+        first.eigenvalues[0] = 1.0
+    assert not np.shares_memory(first.eigenvalues, table.positions)
+    assert not np.shares_memory(first.eigenvalues, second.eigenvalues)
+    assert first == second == obs((2, 2), [0, 0, 0, 1])
 
 
 # --- the vectorized alphabet snap ---------------------------------------------
