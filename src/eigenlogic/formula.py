@@ -17,8 +17,10 @@ input tuples, with variables entering as dictator observables.  Each
 distinct variable enters as one dictator per compile, built at its first
 occurrence, shared by the later ones and dropped after its last; nothing
 is kept between compiles.  `eval_classical` recomputes single outputs by
-plain scalar recursion and serves as the oracle for the compiler; the two
-share only the alphabet type, the variable binding and the alphabet checks.
+plain scalar recursion and serves as the oracle for the compiler.  Its
+Boolean connectives read the paper's truth table, `BINARY_CONNECTIVE_OUTPUTS`,
+while the compiler keeps its own vector form of them; the two share only the
+alphabet type, the variable binding and the alphabet checks.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .core import DiagObservable, _whole_number
 from .errors import AlphabetError, ArityMismatchError, FormulaSyntaxError, NonMemberError
-from .synthesis import ISOMETRIC, TERNARY, ValueAlphabet, dictator
+from .synthesis import BINARY_CONNECTIVE_OUTPUTS, ISOMETRIC, TERNARY, ValueAlphabet, dictator
 
 BINARY_OPS = ("AND", "OR", "XOR", "NAND", "NOR", "EQUIV", "IMPL", "CIMPL", "MIN", "MAX")
 
@@ -91,8 +93,7 @@ class CompiledFormula:
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # "word", "(", ")", ",", "end"
-    text: str
+    text: str  # a word of letters, one of "(", ")", ",", or "" at the end
     offset: int
 
 
@@ -106,25 +107,25 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         if ch in "(),":
-            tokens.append(_Token(ch, ch, i))
+            tokens.append(_Token(ch, i))
             i += 1
             continue
         if "A" <= ch <= "Z":
             start = i
             while i < n and "A" <= text[i] <= "Z":
                 i += 1
-            tokens.append(_Token("word", text[start:i], start))
+            tokens.append(_Token(text[start:i], start))
             continue
         raise FormulaSyntaxError(i, f"a letter, parenthesis or comma (found {ch!r})")
-    tokens.append(_Token("end", "", n))
+    tokens.append(_Token("", n))
     return tokens
 
 
 # The deepest accepted nesting.  NOT, a parenthesis and each MIN/MAX
 # argument open a level while they are parsed, and every NOT, MIN/MAX and
 # binary-operator node is one level of the AST.  Parsing takes up to eight
-# stack frames per open level, and compile, to_text, variables_of and
-# eval_classical one per AST level, so accepted formulas stay well inside
+# stack frames per open level, and compile, to_text and eval_classical
+# one per AST level, so accepted formulas stay well inside
 # Python's default recursion limit.  The text `to_text` prints for an AST
 # opens no more levels than the AST has, so it always parses again.
 MAX_DEPTH = 100
@@ -145,9 +146,9 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, expected: str) -> _Token:
+    def expect(self, text: str, expected: str) -> _Token:
         tok = self.peek()
-        if tok.kind != kind:
+        if tok.text != text:
             raise FormulaSyntaxError(tok.offset, expected)
         return self.advance()
 
@@ -175,7 +176,7 @@ class _Parser:
         ops = _LEVELS[level]
         left, height = self.parse_level(level + 1)
         chain = []
-        while (tok := self.peek()).kind == "word" and tok.text in ops:
+        while (tok := self.peek()).text in ops:
             self.advance()
             right, right_height = self.parse_level(level + 1)
             if level == 0:
@@ -190,7 +191,7 @@ class _Parser:
 
     def parse_unary(self) -> tuple[FormulaNode, int]:
         tok = self.peek()
-        if tok.kind == "word" and tok.text == "NOT":
+        if tok.text == "NOT":
             self.advance()
             child, height = self.nested(tok, self.parse_unary)
             return self.node(tok, Not(child), height)
@@ -198,12 +199,12 @@ class _Parser:
 
     def parse_atom(self) -> tuple[FormulaNode, int]:
         tok = self.peek()
-        if tok.kind == "(":
+        if tok.text == "(":
             self.advance()
             result = self.nested(tok, self.parse_level, 0)
             self.expect(")", "')'")
             return result
-        if tok.kind == "word":
+        if tok.text.isalpha():
             if tok.text in _FUNC_OPS:
                 self.advance()
                 self.expect("(", "'(' after " + tok.text)
@@ -228,7 +229,7 @@ def parse(text: str) -> FormulaNode:
     parser = _Parser(_tokenize(text))
     node, _ = parser.parse_level(0)
     tail = parser.peek()
-    if tail.kind != "end":
+    if tail.text:
         raise FormulaSyntaxError(tail.offset, "end of input")
     return node
 
@@ -244,12 +245,21 @@ def to_text(node: FormulaNode) -> str:
     return f"({to_text(node.left)} {node.op} {to_text(node.right)})"
 
 
+def _occurrences(node: FormulaNode):
+    """The name of each variable leaf of ``node``, once per occurrence."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Var):
+            yield n.name
+        elif isinstance(n, Not):
+            stack.append(n.child)
+        else:
+            stack += (n.left, n.right)
+
+
 def variables_of(node: FormulaNode) -> set[str]:
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Not):
-        return variables_of(node.child)
-    return variables_of(node.left) | variables_of(node.right)
+    return set(_occurrences(node))
 
 
 # --- semantics -------------------------------------------------------------
@@ -276,7 +286,7 @@ def _bind_positions(
     if variables is None:
         order = sorted(used)
     else:
-        order = [str(v) for v in variables]
+        order = [Var(str(v)).name for v in variables]
         if len(set(order)) != len(order):
             raise ValueError(f"duplicate names in variable declaration {order}")
         missing = used - set(order)
@@ -358,16 +368,7 @@ def compile(
     variables (unused arguments); it defaults to the number bound.
     """
     # One walk: the names bind positions, and each count drops a dictator after its last use.
-    uses = Counter()
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Var):
-            uses[n.name] += 1
-        elif isinstance(n, Not):
-            stack.append(n.child)
-        else:
-            stack += (n.left, n.right)
+    uses = Counter(_occurrences(node))
     if arity is None:
         arity = len(variables) if variables is not None else len(uses)
     arity = _whole_number(arity)
@@ -376,18 +377,6 @@ def compile(
     vec = _eigen_vector(node, alphabet, positions, arity, leaves)
     observable = DiagObservable((alphabet.size,) * arity, vec)
     return CompiledFormula(arity, alphabet, observable)
-
-
-_SCALAR_BOOL_OPS = {
-    "AND": lambda a, b: a and b,
-    "OR": lambda a, b: a or b,
-    "XOR": lambda a, b: a != b,
-    "NAND": lambda a, b: not (a and b),
-    "NOR": lambda a, b: not (a or b),
-    "EQUIV": lambda a, b: a == b,
-    "IMPL": lambda a, b: (not a) or b,
-    "CIMPL": lambda a, b: a or (not b),
-}
 
 
 def eval_classical(
@@ -399,7 +388,9 @@ def eval_classical(
     """Evaluate one assignment by plain recursion; the compiler's oracle.
 
     ``assignment`` holds one alphabet value per argument position and fixes
-    the arity.  No observable machinery is involved.
+    the arity.  No observable machinery is involved: a Boolean connective
+    reads its row of the paper's truth table, `BINARY_CONNECTIVE_OUTPUTS`,
+    not the compiler's vector form.
     """
     values = []
     for i, v in enumerate(assignment):
@@ -423,8 +414,9 @@ def eval_classical(
             _require_minmax_alphabet(alphabet, n.op)
             return min(walk(n.left), walk(n.right))
         _require_two_valued(alphabet, n.op)
+        # Rows in canonical order: FF, FT, TF, TT.
         true_v = alphabet.values[-1]
-        out = _SCALAR_BOOL_OPS[n.op](walk(n.left) == true_v, walk(n.right) == true_v)
-        return true_v if out else alphabet.values[0]
+        row = 2 * (walk(n.left) == true_v) + (walk(n.right) == true_v)
+        return alphabet.values[BINARY_CONNECTIVE_OUTPUTS[n.op][row]]
 
     return walk(node)

@@ -40,9 +40,6 @@ VERIFY_SEED = 1729
 TOL_EXACT = 1e-12
 TOL_STAT = 1e-9
 
-SUITE_NAMES = ("table1", "minmax", "fuzzy", "bound", "oracle")
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -207,16 +204,13 @@ def random_formula(
     )
 
 
-_BOOLEAN_OPS = ("AND", "OR", "XOR", "NAND", "NOR", "EQUIV", "IMPL", "CIMPL")
-
-
 def formula_corpus(count: int, seed: int = VERIFY_SEED):
     """Random formulas of depth 1 to 4, cycling over the three alphabet fragments."""
     rng = np.random.default_rng(seed)
     fragments = (
-        (PROJECTIVE, _BOOLEAN_OPS, True),
-        (ISOMETRIC, _BOOLEAN_OPS + ("MIN", "MAX"), True),
-        (TERNARY, ("MIN", "MAX"), False),
+        (PROJECTIVE, tuple(fdsl._VEC_BOOL_OPS), True),
+        (ISOMETRIC, fdsl.BINARY_OPS, True),
+        (TERNARY, fdsl._FUNC_OPS, False),
     )
     corpus = []
     for k in range(count):
@@ -271,6 +265,8 @@ _SUITE_FUNCS = {
     "bound": suite_bound,
     "oracle": suite_oracle,
 }
+
+SUITE_NAMES = tuple(_SUITE_FUNCS)
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,17 @@ class TestCompile:
         assert code == 1
         assert "dimension 1099511627776 exceeds the cap" in err
 
+    @pytest.mark.parametrize("declared, shown", [("A,,B", "''"), ("A,a", "'a'")])
+    def test_declared_variable_names_are_checked(self, capsys, declared, shown):
+        code, out, err = run(capsys, "compile", "--formula", "A AND B", "--variables", declared)
+        assert (code, out) == (1, "")
+        assert err == f"error: variable must be a single uppercase letter, got {shown}\n"
+
+    def test_empty_variables_declares_none(self, capsys):
+        declared = run(capsys, "compile", "--formula", "B IMPL A", "--variables", "")
+        assert declared == run(capsys, "compile", "--formula", "B IMPL A")
+        assert declared[0] == 0
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "compile", "--formula", "NOT A", "--json")
         assert code == 0

@@ -33,6 +33,7 @@ from eigenlogic.formula import (
     to_text,
     variables_of,
 )
+from eigenlogic.synthesis import BINARY_CONNECTIVE_OUTPUTS
 from eigenlogic.verify import formula_corpus, formula_matches_oracle
 
 
@@ -329,6 +330,7 @@ def test_compiled_formula_validates_shape():
 
 def test_variables_of():
     assert variables_of(parse("MAX(MIN(A, C), C)")) == {"A", "C"}
+    assert variables_of(parse("NOT (B AND NOT D)")) == {"B", "D"}
 
 
 # --- one dictator per distinct variable ----------------------------------------
@@ -488,6 +490,41 @@ def test_compile_rejects_a_fractional_or_negative_arity(arity, shown):
 def test_compile_with_too_small_a_whole_arity_is_still_an_arity_mismatch():
     with pytest.raises(ArityMismatchError, match="formula needs at least 2 arguments, got arity 1"):
         compile(parse("A AND B"), PROJECTIVE, arity=1.0)
+
+
+# --- declared variable names --------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, variables, shown", [("A AND B", ("A", "", "B"), "''"), ("A", ("A", "a"), "'a'")]
+)
+def test_declared_variable_names_are_single_uppercase_letters(text, variables, shown):
+    message = f"variable must be a single uppercase letter, got {shown}"
+    with pytest.raises(ValueError) as err:
+        compile(parse(text), PROJECTIVE, variables=variables)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        eval_classical(parse(text), [0.0] * len(variables), PROJECTIVE, variables=variables)
+    assert str(err.value) == message
+
+
+# --- the compiler and the oracle against the paper's truth table -------------
+
+
+@pytest.mark.parametrize("op", [op for op in BINARY_OPS if op not in ("MIN", "MAX")])
+def test_compiler_connectives_give_the_papers_truth_table(op):
+    # The four truth pairs in canonical order: FF, FT, TF, TT.
+    left = np.array([False, False, True, True])
+    right = np.array([False, True, False, True])
+    outputs = formula_module._VEC_BOOL_OPS[op](left, right)
+    assert outputs.tolist() == [bool(v) for v in BINARY_CONNECTIVE_OUTPUTS[op]]
+
+
+def test_a_wrong_table_row_makes_the_oracle_disagree(monkeypatch):
+    node = parse("A IMPL B")
+    assert formula_matches_oracle(node, PROJECTIVE)
+    monkeypatch.setitem(BINARY_CONNECTIVE_OUTPUTS, "IMPL", (1, 1, 0, 0))
+    assert not formula_matches_oracle(node, PROJECTIVE)
 
 
 def _count_variables_of(monkeypatch) -> list:
