@@ -101,11 +101,14 @@ def _check_length(what: str, length: int, arities: tuple[int, ...]) -> None:
 
 
 def _whole_number(m, what: str = "an arity") -> int:
-    # int() would raise OverflowError on infinities and truncate 2.5 to 2.
-    fractional = isinstance(m, (float, np.floating)) and not (math.isfinite(m) and m == int(m))
-    if fractional or int(m) < 0:
-        raise ValueError(f"{what} must be a non-negative whole number, got {m}")
-    return int(m)
+    # int() refuses NaN and infinities but truncates 2.5 and Fraction(3, 2) and parses "2",
+    # so a whole number is one that int() takes and returns equal.
+    try:
+        if int(m) == m >= 0:
+            return int(m)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be a non-negative whole number, got {m}")
 
 
 def _as_arities(arities: Iterable[int]) -> tuple[int, ...]:

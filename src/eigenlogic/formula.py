@@ -25,6 +25,7 @@ alphabet type, the variable binding and the alphabet checks.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import AbstractSet, Sequence, Union
@@ -99,25 +100,14 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "(),":
-            tokens.append(_Token(ch, i))
-            i += 1
-            continue
-        if "A" <= ch <= "Z":
-            start = i
-            while i < n and "A" <= text[i] <= "Z":
-                i += 1
-            tokens.append(_Token(text[start:i], start))
-            continue
-        raise FormulaSyntaxError(i, f"a letter, parenthesis or comma (found {ch!r})")
-    tokens.append(_Token("", n))
+    # Whitespace is what the pattern skips; group 1 catches any other character.
+    for match in re.finditer(r"[A-Z]+|[(),]|(\S)", text):
+        if match.lastindex:
+            raise FormulaSyntaxError(
+                match.start(), f"a letter, parenthesis or comma (found {match[1]!r})"
+            )
+        tokens.append(_Token(match[0], match.start()))
+    tokens.append(_Token("", len(text)))
     return tokens
 
 

@@ -23,6 +23,7 @@ from .core import (
     _finite_array,
     _json_complex,
     _json_field,
+    _whole_number,
 )
 from .errors import (
     ClassificationError,
@@ -130,6 +131,7 @@ def basis_state(arities: Iterable[int], index: int) -> StateVector:
     dim = _capped_dimension(arities)
     if not 0 <= index < dim:
         raise ValueError(f"index {index} out of range for dimension {dim}")
+    index = _whole_number(index, "an index")  # so True is 1, not a mask, and 1.5 is refused
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
     return StateVector(arities, amps)

@@ -96,6 +96,7 @@ class ValueAlphabet:
 
     def index_of(self, value: float, tol: float = DEFAULT_TOL) -> int:
         """Position of ``value`` in the alphabet, or -1 if none matches."""
+        _check_tolerance(tol)
         for i, v in enumerate(self.values):
             if abs(v - value) <= tol:
                 return i
@@ -106,6 +107,7 @@ class ValueAlphabet:
 
         The positions have the smallest signed integer type that holds -size.
         """
+        _check_tolerance(tol)
         values = np.asarray(values, dtype=float)
         positions = np.full(values.shape, -1, dtype=np.min_scalar_type(-self.size))
         distance = np.empty_like(values)
@@ -266,7 +268,7 @@ def lagrange_basis(points: Sequence[float]) -> list[BasisPolynomial]:
     if not pts:
         raise ValueError("at least one interpolation point is required")
     for x in pts:
-        if abs(x) > MAX_POINT_MAGNITUDE:
+        if not abs(x) <= MAX_POINT_MAGNITUDE:  # also rejects NaN
             raise ValueError(
                 f"interpolation point {x} exceeds magnitude {MAX_POINT_MAGNITUDE}"
             )

@@ -307,6 +307,20 @@ class TestArityValidation:
         assert code == 1
         assert "whole number, got 2.5" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--alphabet", "0,1", "--observable",
+             '{"arities":"22","eigenvalues":[0,0,0,1]}'],
+            ["fuzzy", "--connective", "AND", "--state",
+             '{"arities":"4","re":[1,0,0,0],"im":[0,0,0,0]}'],
+        ],
+    )
+    def test_string_arities_are_domain_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: JSON field 'arities' is malformed: ")
+
     def test_integral_float_arity_is_accepted(self, capsys):
         observable = '{"arities":[2.0],"eigenvalues":[0,1]}'
         code, out, _ = run(capsys, "table", "--alphabet", "0,1", "--observable", observable)

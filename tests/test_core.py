@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -353,7 +354,9 @@ def test_truth_table_json_is_byte_identical_to_float_loop():
         '"outputs": [0.30000000000000004, -0.0, 7.5]}'
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), 2.5, np.float64(3.5)])
+@pytest.mark.parametrize(
+    "bad", [float("inf"), float("-inf"), float("nan"), 2.5, np.float64(3.5), "2", Fraction(5, 2)]
+)
 def test_arities_must_be_whole_numbers(bad):
     with pytest.raises(ValueError, match=f"whole number, got {bad}"):
         DiagObservable((bad,), [0.0, 1.0])
@@ -445,6 +448,8 @@ TOLERANCE_CALLS = {
     "is_hermitian": lambda tol: materialize(PI).is_hermitian(tol),
     "read_table": lambda tol: read_table(PI, PROJECTIVE, tol),
     "to_isometric": lambda tol: to_isometric(obs((2,), [0.3, 5.0]), tol),
+    "index_of": lambda tol: PROJECTIVE.index_of(0.0, tol),
+    "indices_of": lambda tol: PROJECTIVE.indices_of([0.0, 1.0], tol),
 }
 
 

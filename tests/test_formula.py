@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +83,29 @@ class TestParse:
         with pytest.raises(FormulaSyntaxError) as err:
             parse("A & B")
         assert err.value.offset == 2
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("ZC", [("ZC", 0), ("", 2)]),
+            ("A\x85B", [("A", 0), ("B", 2), ("", 3)]),
+            ("\u3000A", [("A", 1), ("", 2)]),
+        ],
+    )
+    def test_tokens_and_their_offsets(self, text, tokens):
+        assert [(t.text, t.offset) for t in formula_module._tokenize(text)] == tokens
+
+    @pytest.mark.parametrize(
+        "text, offset, found",
+        [("AÉ", 1, "'É'"), ("É", 0, "'É'"), ("A1", 1, "'1'"), ("A [", 2, "'['")],
+    )
+    def test_any_other_character_is_a_syntax_error(self, text, offset, found):
+        with pytest.raises(FormulaSyntaxError) as err:
+            formula_module._tokenize(text)
+        assert err.value.offset == offset
+        assert str(err.value) == (
+            f"syntax error at offset {offset}: expected a letter, parenthesis or comma (found {found})"
+        )
 
     def test_lowercase_rejected(self):
         with pytest.raises(FormulaSyntaxError):
@@ -480,7 +504,9 @@ def test_compile_reads_a_whole_number_arity(arity):
     assert compiled.observable == dictator(0, 2, PROJECTIVE)
 
 
-@pytest.mark.parametrize("arity, shown", [(2.5, "2.5"), (-1, "-1"), (math.inf, "inf")])
+@pytest.mark.parametrize(
+    "arity, shown", [(2.5, "2.5"), (-1, "-1"), (math.inf, "inf"), ("1", "1"), (Fraction(3, 2), "3/2")]
+)
 def test_compile_rejects_a_fractional_or_negative_arity(arity, shown):
     with pytest.raises(ValueError) as err:
         compile(parse("A"), PROJECTIVE, arity=arity)

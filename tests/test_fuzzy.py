@@ -109,6 +109,23 @@ class TestQubitState:
             qubit_from_probability(1.5)
 
 
+class TestBasisState:
+    @pytest.mark.parametrize("index", [1, True, 1.0])
+    def test_a_whole_index_picks_one_basis_vector(self, index):
+        assert basis_state((2,), index).amplitudes.tolist() == [0, 1]
+
+    def test_a_fractional_index_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            basis_state((2,), 1.5)
+        assert str(err.value) == "an index must be a non-negative whole number, got 1.5"
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_an_integer_out_of_range_names_the_dimension(self, index):
+        with pytest.raises(ValueError) as err:
+            basis_state((2,), index)
+        assert str(err.value) == f"index {index} out of range for dimension 2"
+
+
 class TestProductState:
     def test_two_true_qubits(self):
         one = basis_state((2,), 1)

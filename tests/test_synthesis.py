@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -360,6 +361,11 @@ class TestLagrangeBasis:
         with pytest.raises(ValueError):
             lagrange_basis((0.0, 11.0))
 
+    def test_nan_point_rejected(self):
+        with pytest.raises(ValueError) as err:
+            lagrange_basis((math.nan, 0.0))
+        assert str(err.value) == "interpolation point nan exceeds magnitude 10.0"
+
     def test_polynomial_neither_aliases_nor_freezes_the_callers_array(self):
         coeffs = np.array([0.0, 1.0])
         phi = BasisPolynomial(coeffs)
@@ -571,10 +577,9 @@ def snap_inputs(draw):
     alphabet = draw(ALPHABETS)
     # Tolerances reach twice the smallest spacing, so two alphabet values
     # can match one input and the first of them must win.
-    tol = draw(st.sampled_from([0.0, 1e-12, -1.0]) | st.floats(0.0, 2.0))
-    near = st.tuples(
-        st.sampled_from(alphabet.values), st.floats(-2 * abs(tol), 2 * abs(tol))
-    ).map(sum)
+    # Negative tolerances are refused by both; see TOLERANCE_CALLS in test_core.
+    tol = draw(st.sampled_from([0.0, 1e-12]) | st.floats(0.0, 2.0))
+    near = st.tuples(st.sampled_from(alphabet.values), st.floats(-2 * tol, 2 * tol)).map(sum)
     anything = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
     values = draw(st.lists(st.sampled_from(alphabet.values) | near | anything, max_size=20))
     return alphabet, values, tol
@@ -640,6 +645,8 @@ def test_huge_arity_is_rejected_without_forming_the_power():
         lambda: canonical_projectors(PROJECTIVE, 2.5),
         lambda: next(enumerate_tables(PROJECTIVE, 1.5)),
         lambda: next(enumerate_tables(PROJECTIVE, -1)),
+        lambda: TruthTable(PROJECTIVE, Fraction(3, 2), (0, 1)),
+        lambda: TruthTable(PROJECTIVE, "1", (0, 1)),
     ],
 )
 def test_argument_counts_must_be_non_negative_whole_numbers(call):
