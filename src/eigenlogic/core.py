@@ -123,7 +123,13 @@ def _as_arities(arities: Iterable[int]) -> tuple[int, ...]:
 def _check_tolerance(tol: float) -> None:
     if not tol >= 0:  # also rejects NaN
         raise ValueError(f"tolerance must be non-negative, got {tol}")
-    if tol > 1.7976931348623157e308:  # beyond the largest float, so infinite
+    try:
+        # Read as a Python float: against a float64 bound, numpy casts the bound
+        # down to a float32 tolerance's type, and the cast overflows.
+        finite = math.isfinite(tol)
+    except OverflowError:  # an exact number beyond the largest float
+        finite = False
+    if not finite:
         raise ValueError(f"tolerance must be finite, got {tol}")
 
 

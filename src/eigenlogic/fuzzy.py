@@ -141,6 +141,9 @@ def product_state(parts: Sequence[StateVector]) -> StateVector:
     """Kronecker product of component states; arities concatenate."""
     if not parts:
         raise ValueError("product_state needs at least one component")
+    for part in parts:
+        if not hasattr(part, "amplitudes"):  # a part is read only for its arities and amplitudes
+            raise TypeError(f"product_state expects StateVector parts, got {type(part).__name__}")
     if len(parts) == 1:
         return parts[0]
     arities = tuple(m for part in parts for m in part.arities)
@@ -166,6 +169,8 @@ def born_mean(state: StateVector, f: DiagObservable) -> float:
     pure-state density operator times the observable.  For a basis state
     this returns the eigenvalue at its index exactly.
     """
+    if not isinstance(f, DiagObservable):
+        raise TypeError(f"born_mean expects a DiagObservable, got {type(f).__name__}")
     _check_dims(state.dim, f.dim)
     # np.sum without its Python wrapper: the same pairwise sum, so the same bits.
     # A dot product would sum in another order.
@@ -186,6 +191,8 @@ def born_means(
     # Row 0 against every column, then every row against column 0: with all
     # dimensions equal to states[0].dim this covers every pair.
     for f in observables:
+        if not isinstance(f, DiagObservable):
+            raise TypeError(f"born_means expects DiagObservables, got {type(f).__name__}")
         _check_dims(states[0].dim, f.dim)
     for state in states:
         _check_dims(state.dim, observables[0].dim)
@@ -229,6 +236,8 @@ def bound_check(state: StateVector, f: DiagObservable) -> bool:
     The projector rule is `classify(f).is_projector` at `DEFAULT_TOL`: every
     eigenvalue within `DEFAULT_TOL` of 0 or 1.
     """
+    if not isinstance(f, DiagObservable):
+        raise TypeError(f"bound_check expects a DiagObservable, got {type(f).__name__}")
     # `classify`'s projector test alone, without building the other three classes.
     eig = f.eigenvalues
     if not ((np.abs(eig) <= DEFAULT_TOL) | (np.abs(eig - 1.0) <= DEFAULT_TOL)).all():

@@ -388,21 +388,26 @@ def to_projective(g: DiagObservable, tol: float = DEFAULT_TOL) -> DiagObservable
 def dictator(position: int, arity: int, alphabet: ValueAlphabet) -> DiagObservable:
     """Connective whose output copies the argument at ``position``.
 
-    Built as identity factors with the value observable in one slot, folded
-    from the right: each `kron` puts one short factor in front of the long
-    product, so its outer product runs long inner loops.  Every factor but
-    one is all ones, so each product is exact and the bytes equal
-    `kron_all`'s left fold.
+    Built as the value observable times one identity over the arguments after
+    it; the identity over the arguments before it is then folded in from the
+    left in blocks no wider than the product so far, so position 14 of 15
+    takes blocks of 1, 2, 4 and 7 arguments.  That is at most
+    1 + ceil(log2(arity)) `kron` calls, and no block is longer than the
+    product after it, so no call puts a long factor first and each outer
+    product runs long inner loops.  Every factor but one is all ones, so each
+    product is exact and the bytes equal `kron_all`'s left fold.
     """
     arity = _whole_number(arity)
     if not 0 <= position < arity:
         raise ValueError(f"position {position} out of range for arity {arity}")
     check_power_capacity(alphabet.size, arity)
-    factors = [DiagObservable((alphabet.size,), np.ones(alphabet.size))] * arity
-    factors[position] = value_observable(alphabet)  # a non-integral position raises TypeError
-    result = DiagObservable((), np.ones(1))
-    for factor in reversed(factors):
-        result = kron(factor, result)
+    head = [*range(arity)][position]  # a non-integral position raises TypeError
+    one_arg = (alphabet.size,)
+    result = kron(value_observable(alphabet), DiagObservable.identity(one_arg * (arity - head - 1)))
+    while head:
+        block = min(head, len(result.arities))
+        result = kron(DiagObservable.identity(one_arg * block), result)
+        head -= block
     return result
 
 

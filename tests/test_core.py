@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -462,6 +463,7 @@ TOLERANCE_CALLS = {
         (-math.inf, "tolerance must be non-negative, got -inf"),
         (math.inf, "tolerance must be finite, got inf"),
         (np.float64(math.inf), "tolerance must be finite, got inf"),
+        (np.float32(math.inf), "tolerance must be finite, got inf"),
     ],
 )
 def test_tolerance_arguments_are_checked(name, tol, message):
@@ -469,6 +471,16 @@ def test_tolerance_arguments_are_checked(name, tol, message):
         TOLERANCE_CALLS[name](tol)
     assert str(err.value) == message
     assert type(err.value) is ValueError  # refused before any value is blamed
+
+
+# Comparing a float32 with the largest float64 overflowed in numpy's cast.
+@pytest.mark.parametrize("tol", [np.float32(1e-6), np.float16(1e-3)])
+def test_a_narrow_float_tolerance_is_taken_without_a_warning(tol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classify(PI, tol) == classify(PI, float(tol))
+        assert read_table(PI, PROJECTIVE, tol) == read_table(PI, PROJECTIVE, float(tol))
+        assert PI.isclose(PI, tol) and not PI.isclose(Z, tol)
 
 
 def test_large_finite_tolerances_still_hold():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -642,3 +643,15 @@ def test_min_max_duality_on_the_ternary_alphabet():
             expected = -tensor[(slice(None, None, -1),) * arity].ravel()
             dual = _replace_ops(node, {"MIN": "MAX", "MAX": "MIN"})
             assert np.array_equal(_eigenvalues(dual, TERNARY), expected)
+
+
+# Every compile of the verify corpus, byte for byte: a change to the compile
+# mechanism (the dictator, the connectives, the fold order) must keep this.
+def test_the_compiled_corpus_keeps_its_bytes():
+    digest = hashlib.sha256()
+    for node, alphabet in formula_corpus(2000):
+        arity = max(len(variables_of(node)), 1)
+        digest.update(_eigenvalues(node, alphabet, arity=arity).tobytes())
+    assert digest.hexdigest() == (
+        "f0aa81f1bf1ad04281294e28cea93457970195c415a6fe28553a1547cf31ac42"
+    )

@@ -472,6 +472,27 @@ class TestBornMeans:
         assert born_means([basis_state((2, 2), 1)], []).shape == (1, 0)
 
 
+# An argument of the wrong type is a TypeError naming the expected type,
+# not an AttributeError from deep inside the call.
+QUBIT = basis_state((2,), 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: born_mean(QUBIT, 3), "born_mean expects a DiagObservable, got int"),
+        (lambda: born_means([QUBIT], [3]), "born_means expects DiagObservables, got int"),
+        (lambda: bound_check(QUBIT, "AND"), "bound_check expects a DiagObservable, got str"),
+        (lambda: product_state([0.0, 1.0]), "product_state expects StateVector parts, got float"),
+        (lambda: product_state([0.0]), "product_state expects StateVector parts, got float"),
+    ],
+)
+def test_a_wrong_argument_type_is_a_type_error(call, message):
+    with pytest.raises(TypeError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_within_bounds_is_the_bound_check_interval():
     mu = np.array([-2e-12, -1e-12, 0.0, 0.5, 1.0 + 1e-12, 1.0 + 3e-12, np.nan])
     assert within_bounds(mu).tolist() == [False, True, True, True, True, False, False]
