@@ -202,6 +202,22 @@ class DiagObservable:
         object.__setattr__(self, "arities", arities)
         object.__setattr__(self, "eigenvalues", eig)
 
+    @classmethod
+    def _of(cls, arities: tuple[int, ...], eig: np.ndarray) -> "DiagObservable":
+        """An observable from a vector the library computed, kept without a copy.
+
+        ``arities`` must be valid and fit ``eig``, a fresh flat float vector
+        that is marked read-only.  Arithmetic can overflow, so finiteness is
+        the one check.
+        """
+        if not np.isfinite(eig).all():
+            raise ValueError("eigenvalues must all be finite")
+        eig.flags.writeable = False
+        result = cls.__new__(cls)
+        object.__setattr__(result, "arities", arities)
+        object.__setattr__(result, "eigenvalues", eig)
+        return result
+
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
@@ -213,7 +229,7 @@ class DiagObservable:
     @classmethod
     def constant(cls, arities: Iterable[int], value: float) -> "DiagObservable":
         arities = _as_arities(arities)
-        return cls(arities, np.full(_capped_dimension(arities), float(value)))
+        return cls._of(arities, np.full(_capped_dimension(arities), float(value)))
 
     def isclose(self, other: "DiagObservable", tol: float = DEFAULT_TOL) -> bool:
         """Entrywise equality of eigenvalues within ``tol`` (same arities)."""
@@ -256,7 +272,7 @@ class DiagObservable:
             raise ValueError("only non-negative integer powers are defined")
         with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the finite check
             eig = self.eigenvalues ** exponent
-        return DiagObservable(self.arities, eig)
+        return DiagObservable._of(self.arities, eig)
 
     def to_json(self) -> dict:
         return {
@@ -330,22 +346,13 @@ class ObservableClass:
 
 
 def kron(a: DiagObservable, b: DiagObservable) -> DiagObservable:
-    """Kronecker product; arities concatenate, eigenvalues multiply pairwise.
-
-    The result owns its fresh product, read-only, with no copy: both inputs
-    are valid, so only the finiteness of the products needs a check.
-    """
+    """Kronecker product; arities concatenate, eigenvalues multiply pairwise."""
     check_capacity(a.dim * b.dim)
     # On 1-D real vectors this is np.kron's products in its order, without its reshaping.
     with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the finite check
         product = np.multiply.outer(a.eigenvalues, b.eigenvalues)
-    if not np.isfinite(product).all():
-        raise ValueError("eigenvalues must all be finite")
-    product.flags.writeable = False  # so the flat view below is read-only too
-    result = DiagObservable.__new__(DiagObservable)
-    object.__setattr__(result, "arities", a.arities + b.arities)
-    object.__setattr__(result, "eigenvalues", product.ravel())
-    return result
+    product.flags.writeable = False  # so the flat view's base is read-only too
+    return DiagObservable._of(a.arities + b.arities, product.ravel())
 
 
 def compose_entrywise(a: DiagObservable, b: DiagObservable) -> DiagObservable:
@@ -356,7 +363,7 @@ def compose_entrywise(a: DiagObservable, b: DiagObservable) -> DiagObservable:
         )
     with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the finite check
         eig = a.eigenvalues * b.eigenvalues
-    return DiagObservable(a.arities, eig)
+    return DiagObservable._of(a.arities, eig)
 
 
 def add(a: DiagObservable, b: DiagObservable) -> DiagObservable:
@@ -367,7 +374,7 @@ def add(a: DiagObservable, b: DiagObservable) -> DiagObservable:
         )
     with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the finite check
         eig = a.eigenvalues + b.eigenvalues
-    return DiagObservable(a.arities, eig)
+    return DiagObservable._of(a.arities, eig)
 
 
 def affine(a: float, b: float, f: DiagObservable) -> DiagObservable:
@@ -384,6 +391,8 @@ def apply_pointwise(poly, f: DiagObservable) -> DiagObservable:
     with such a ``coefficients`` attribute.
     """
     coeffs = np.asarray(getattr(poly, "coefficients", poly), dtype=float)
+    if not coeffs.size:  # numpy's polyval would fail with an IndexError
+        raise ValueError("a polynomial needs at least one coefficient")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the finite check
         eig = npoly.polyval(f.eigenvalues, coeffs)
     return DiagObservable(f.arities, eig)

@@ -41,8 +41,10 @@ class NormalizationError(EigenlogicError):
     """A state vector could not be normalized (zero or absurdly scaled)."""
 
 
-class UnknownConnectiveError(EigenlogicError):
+class UnknownConnectiveError(EigenlogicError, KeyError):
     """A connective name was not found in the catalog."""
+
+    __str__ = Exception.__str__  # the message as given, not KeyError's quoted repr
 
 
 class ConventionError(EigenlogicError):

@@ -92,13 +92,9 @@ class CompiledFormula:
 # --- parsing ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str  # a word of letters, one of "(", ")", ",", or "" at the end
-    offset: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    # Each token is a (text, offset) pair: a word of letters, one of "(", ")"
+    # and ",", and last ("", len(text)).
     tokens = []
     # Whitespace is what the pattern skips; group 1 catches any other character.
     for match in re.finditer(r"[A-Z]+|[(),]|(\S)", text):
@@ -106,8 +102,8 @@ def _tokenize(text: str) -> list[_Token]:
             raise FormulaSyntaxError(
                 match.start(), f"a letter, parenthesis or comma (found {match[1]!r})"
             )
-        tokens.append(_Token(match[0], match.start()))
-    tokens.append(_Token("", len(text)))
+        tokens.append((match[0], match.start()))
+    tokens.append(("", len(text)))
     return tokens
 
 
@@ -123,41 +119,39 @@ MAX_DEPTH = 100
 
 class _Parser:
     # Each parse method returns the parsed node and the height of its AST.
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple[str, int]]):
         self.tokens = tokens
         self.pos = 0
         self.open_levels = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, int]:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def advance(self) -> None:
         self.pos += 1
-        return tok
 
-    def expect(self, text: str, expected: str) -> _Token:
-        tok = self.peek()
-        if tok.text != text:
-            raise FormulaSyntaxError(tok.offset, expected)
-        return self.advance()
+    def expect(self, text: str, expected: str) -> None:
+        found, offset = self.peek()
+        if found != text:
+            raise FormulaSyntaxError(offset, expected)
+        self.advance()
 
     @staticmethod
-    def check_depth(tok: _Token, depth: int) -> None:
+    def check_depth(offset: int, depth: int) -> None:
         if depth > MAX_DEPTH:
-            raise FormulaSyntaxError(tok.offset, f"at most {MAX_DEPTH} levels of nesting")
+            raise FormulaSyntaxError(offset, f"at most {MAX_DEPTH} levels of nesting")
 
-    def nested(self, tok: _Token, parse, *args) -> tuple[FormulaNode, int]:
-        """Run ``parse`` inside one more open level, opened at ``tok``."""
+    def nested(self, offset: int, parse, *args) -> tuple[FormulaNode, int]:
+        """Run ``parse`` inside one more open level, opened at ``offset``."""
         self.open_levels += 1
-        self.check_depth(tok, self.open_levels)
+        self.check_depth(offset, self.open_levels)
         result = parse(*args)
         self.open_levels -= 1
         return result
 
-    def node(self, tok: _Token, node: FormulaNode, *heights: int) -> tuple[FormulaNode, int]:
+    def node(self, offset: int, node: FormulaNode, *heights: int) -> tuple[FormulaNode, int]:
         height = 1 + max(heights)
-        self.check_depth(tok, height)
+        self.check_depth(offset, height)
         return node, height
 
     def parse_level(self, level: int) -> tuple[FormulaNode, int]:
@@ -166,61 +160,63 @@ class _Parser:
         ops = _LEVELS[level]
         left, height = self.parse_level(level + 1)
         chain = []
-        while (tok := self.peek()).text in ops:
+        op, offset = self.peek()
+        while op in ops:
             self.advance()
             right, right_height = self.parse_level(level + 1)
             if level == 0:
-                chain.append((tok, left, height))
+                chain.append((op, offset, left, height))
                 left, height = right, right_height
             else:
-                left, height = self.node(tok, BinOp(tok.text, left, right), height, right_height)
+                left, height = self.node(offset, BinOp(op, left, right), height, right_height)
+            op, offset = self.peek()
         # Implications chain to the right, so fold them from the end.
-        for tok, operand, operand_height in reversed(chain):
-            left, height = self.node(tok, BinOp(tok.text, operand, left), operand_height, height)
+        for op, offset, operand, operand_height in reversed(chain):
+            left, height = self.node(offset, BinOp(op, operand, left), operand_height, height)
         return left, height
 
     def parse_unary(self) -> tuple[FormulaNode, int]:
-        tok = self.peek()
-        if tok.text == "NOT":
+        text, offset = self.peek()
+        if text == "NOT":
             self.advance()
-            child, height = self.nested(tok, self.parse_unary)
-            return self.node(tok, Not(child), height)
+            child, height = self.nested(offset, self.parse_unary)
+            return self.node(offset, Not(child), height)
         return self.parse_atom()
 
     def parse_atom(self) -> tuple[FormulaNode, int]:
-        tok = self.peek()
-        if tok.text == "(":
+        text, offset = self.peek()
+        if text == "(":
             self.advance()
-            result = self.nested(tok, self.parse_level, 0)
+            result = self.nested(offset, self.parse_level, 0)
             self.expect(")", "')'")
             return result
-        if tok.text.isalpha():
-            if tok.text in _FUNC_OPS:
+        if text.isalpha():
+            if text in _FUNC_OPS:
                 self.advance()
-                self.expect("(", "'(' after " + tok.text)
-                left, left_height = self.nested(tok, self.parse_level, 0)
+                self.expect("(", "'(' after " + text)
+                left, left_height = self.nested(offset, self.parse_level, 0)
                 self.expect(",", "','")
-                right, right_height = self.nested(tok, self.parse_level, 0)
+                right, right_height = self.nested(offset, self.parse_level, 0)
                 self.expect(")", "')'")
-                return self.node(tok, BinOp(tok.text, left, right), left_height, right_height)
-            if tok.text in _KEYWORDS:
-                raise FormulaSyntaxError(tok.offset, "an operand")
-            if len(tok.text) == 1:
+                return self.node(offset, BinOp(text, left, right), left_height, right_height)
+            if text in _KEYWORDS:
+                raise FormulaSyntaxError(offset, "an operand")
+            if len(text) == 1:
                 self.advance()
-                return Var(tok.text), 0
+                return Var(text), 0
             raise FormulaSyntaxError(
-                tok.offset, f"a connective or single-letter variable (found {tok.text!r})"
+                offset, f"a connective or single-letter variable (found {text!r})"
             )
-        raise FormulaSyntaxError(tok.offset, "an operand")
+        raise FormulaSyntaxError(offset, "an operand")
 
 
 def parse(text: str) -> FormulaNode:
     """Parse formula text into an AST; deterministic for every accepted string."""
     parser = _Parser(_tokenize(text))
     node, _ = parser.parse_level(0)
-    tail = parser.peek()
-    if tail.text:
-        raise FormulaSyntaxError(tail.offset, "end of input")
+    tail, offset = parser.peek()
+    if tail:
+        raise FormulaSyntaxError(offset, "end of input")
     return node
 
 
@@ -365,7 +361,7 @@ def compile(
     positions = _bind_positions(uses.keys(), arity, variables)
     leaves = {name: (count, None) for name, count in uses.items()}
     vec = _eigen_vector(node, alphabet, positions, arity, leaves)
-    observable = DiagObservable((alphabet.size,) * arity, vec)
+    observable = DiagObservable._of((alphabet.size,) * arity, vec)
     return CompiledFormula(arity, alphabet, observable)
 
 

@@ -12,7 +12,7 @@ an implementation detail.
 from __future__ import annotations
 
 import itertools
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -44,6 +44,7 @@ from .errors import (
     ConventionError,
     DuplicatePointError,
     NonMemberError,
+    UnknownConnectiveError,
 )
 
 # Interpolation points are kept at desk scale so the expanded monomial
@@ -130,6 +131,7 @@ ISOMETRIC = ValueAlphabet((1.0, -1.0), ("F", "T"))
 TERNARY = ValueAlphabet((1.0, 0.0, -1.0), ("F", "N", "T"))
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class TruthTable:
     """Explicit map from input tuples to output truth values.
 
@@ -140,6 +142,10 @@ class TruthTable:
     own floats at those positions, built on first use.  Instances are
     immutable.
     """
+
+    alphabet: ValueAlphabet
+    arity: int
+    positions: np.ndarray
 
     def __init__(self, alphabet: ValueAlphabet, arity: int, outputs: Sequence[float]):
         arity = _whole_number(arity)
@@ -171,12 +177,6 @@ class TruthTable:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "positions", positions)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @cached_property
     def outputs(self) -> tuple[float, ...]:
@@ -319,19 +319,10 @@ def canonical_projectors(alphabet: ValueAlphabet, arity: int) -> list[DiagObserv
 
 
 def synthesize(table: TruthTable) -> DiagObservable:
-    """Observable whose eigenvalue vector is the table's output column.
-
-    The result owns its fresh lookup of the alphabet values, read-only, with
-    no copy and no second check: the values are finite and the positions
-    fill the table.
-    """
+    """Observable whose eigenvalue vector is the table's output column."""
     check_capacity(table.positions.size)
     eig = np.array(table.alphabet.values).take(table.positions)
-    eig.flags.writeable = False
-    result = DiagObservable.__new__(DiagObservable)
-    object.__setattr__(result, "arities", (table.alphabet.size,) * table.arity)
-    object.__setattr__(result, "eigenvalues", eig)
-    return result
+    return DiagObservable._of((table.alphabet.size,) * table.arity, eig)
 
 
 def synthesize_by_projectors(table: TruthTable) -> DiagObservable:
@@ -446,7 +437,8 @@ CONVENTIONS = ("projective", "isometric")
 def connective_table(name: str) -> TruthTable:
     """Frozen two-argument truth table of a named binary connective ({0,1} values)."""
     if name not in BINARY_CONNECTIVE_OUTPUTS:
-        raise KeyError(name)
+        known = ", ".join(sorted(BINARY_CONNECTIVE_OUTPUTS))
+        raise UnknownConnectiveError(f"unknown connective {name!r}; expected one of: {known}")
     # The 0/1 outputs are already PROJECTIVE's positions, so nothing needs snapping.
     return TruthTable._from_positions(PROJECTIVE, 2, BINARY_CONNECTIVE_OUTPUTS[name])
 

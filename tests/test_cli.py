@@ -214,6 +214,11 @@ class TestFuzzy:
     def test_unknown_connective_is_domain_error(self, capsys):
         code, _, err = run(capsys, "fuzzy", "--connective", "NOPE", "--p", "0.1", "--q", "0.2")
         assert code == 1
+        # UnknownConnectiveError is also a KeyError, but prints without KeyError's quotes.
+        assert err == (
+            "error: unknown connective 'NOPE'; expected one of: A, AND, B, CIMPL, EQUIV, FALSE, "
+            "IMPL, NAND, NCIMPL, NIMPL, NOR, NOTA, NOTB, OR, TRUE, XOR\n"
+        )
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "fuzzy", "--formula", "A XOR B", "--p", "0.25", "--q", "0.75")

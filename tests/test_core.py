@@ -197,6 +197,22 @@ class TestApplyPointwise:
         phi0 = lagrange_basis([0.0, 1.0])[0]
         assert apply_pointwise(phi0, PI) == obs((2,), [1, 0])
 
+    def test_no_coefficients_is_a_value_error(self):
+        from eigenlogic import BasisPolynomial
+
+        for poly in ([], np.zeros((2, 0)), BasisPolynomial([])):
+            with pytest.raises(ValueError, match="^a polynomial needs at least one coefficient$"):
+                apply_pointwise(poly, PI)
+
+    def test_coefficients_of_another_shape_fail_the_length_check(self):
+        # affine and apply_pointwise take caller arrays of any shape, so they keep
+        # the constructor's full check.
+        message = "^eigenvalue vector has length 4, expected 2 for 1 arities$"
+        with pytest.raises(ValueError, match=message):
+            affine(np.ones((2, 1)), 1.0, PI)
+        with pytest.raises(ValueError, match=message):
+            apply_pointwise([[1.0, 2.0], [3.0, 4.0]], PI)
+
 
 class TestMaterialize:
     def test_single_one_on_diagonal(self):
@@ -586,11 +602,14 @@ def test_results_are_read_only_and_share_no_memory_with_inputs():
         (affine(1.0, -2.0, a), [a.eigenvalues]),
         (compose_entrywise(a, b), [a.eigenvalues, b.eigenvalues]),
         (a ** 1, [a.eigenvalues]),
+        (a ** 0, [a.eigenvalues]),
         (apply_pointwise(coefficients, a), [a.eigenvalues, coefficients]),
         (synthesize(table), [table.positions]),
     ]
-    # dictator and compile build from no array of the caller: two calls must not share one.
+    # constant, dictator and compile build from no array of the caller: two calls
+    # must not share one.
     for build in (
+        lambda: DiagObservable.constant((2, 3), 0.5),
         lambda: dictator(1, 3, TERNARY),
         lambda: compile_formula(formula, PROJECTIVE).observable,
     ):
@@ -598,5 +617,9 @@ def test_results_are_read_only_and_share_no_memory_with_inputs():
         cases.append((build(), [first.eigenvalues]))
     for result, inputs in cases:
         assert not result.eigenvalues.flags.writeable
+        # kron keeps a flat view of its product: the product must be read-only too,
+        # or the view could be made writeable again.
+        if result.eigenvalues.base is not None:
+            assert not result.eigenvalues.base.flags.writeable
         for arr in inputs:
             assert not np.shares_memory(result.eigenvalues, arr)

@@ -475,12 +475,16 @@ class TestBornMeans:
 # An argument of the wrong type is a TypeError naming the expected type,
 # not an AttributeError from deep inside the call.
 QUBIT = basis_state((2,), 1)
+PROJECTOR = obs((2,), [0, 1])
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
         (lambda: born_mean(QUBIT, 3), "born_mean expects a DiagObservable, got int"),
+        (lambda: born_mean(3, PROJECTOR), "born_mean expects a StateVector, got int"),
+        (lambda: born_means([3], [PROJECTOR]), "born_means expects StateVectors, got int"),
+        (lambda: bound_check(3, PROJECTOR), "bound_check expects a StateVector, got int"),
         (lambda: born_means([QUBIT], [3]), "born_means expects DiagObservables, got int"),
         (lambda: bound_check(QUBIT, "AND"), "bound_check expects a DiagObservable, got str"),
         (lambda: product_state([0.0, 1.0]), "product_state expects StateVector parts, got float"),

@@ -22,6 +22,7 @@ from eigenlogic import (
     PROJECTIVE,
     TERNARY,
     TruthTable,
+    UnknownConnectiveError,
     ValueAlphabet,
     affine,
     apply_pointwise,
@@ -810,5 +811,11 @@ def test_connective_table_equals_the_snapped_table(name):
 
 
 def test_connective_table_rejects_an_unknown_name():
-    with pytest.raises(KeyError, match="MAYBE"):
+    with pytest.raises(KeyError, match="MAYBE") as err:
         connective_table("MAYBE")
+    # The same error and text as `membership`, which the CLI prints as is.
+    assert type(err.value) is UnknownConnectiveError
+    assert str(err.value) == (
+        "unknown connective 'MAYBE'; expected one of: A, AND, B, CIMPL, EQUIV, FALSE, "
+        "IMPL, NAND, NCIMPL, NIMPL, NOR, NOTA, NOTB, OR, TRUE, XOR"
+    )
